@@ -4,11 +4,15 @@ Unlike the figure benches these are true repeated-timing benchmarks:
 the LANC sample loop (the per-sample cost a real DSP must sustain), the
 image-source RIR builder, GCC-PHAT, and the FM chain.
 
-``test_kernel_backend_sweep`` times every adaptation engine on both
-kernel backends (``loop`` vs ``vector``, see ``docs/KERNELS.md``) and
-writes the speedup table to ``BENCH_kernels.json``; the LANC row must
-clear the 3x contract.
+``test_kernel_backend_sweep`` times every adaptation engine on the
+program's kernels (``vector``) and on the per-sample ``loop`` oracle
+from ``tests/reference`` swapped in at the engines' call sites (see
+``docs/KERNELS.md``), and writes the speedup table to
+``BENCH_kernels.json``; the LANC row must clear the 3x contract and the
+RLS row the 2x contract.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -20,14 +24,18 @@ from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         gcc_phat)
 from repro.signals import WhiteNoise
 from repro.wireless import FmDemodulator, FmModulator
+from tests.reference import reference_kernels
 
-#: The vector backend must beat the loop backend by at least this much
-#: on the LANC sample loop (the contract in docs/KERNELS.md).
+#: The kernels must beat the loop oracle by at least this much on the
+#: LANC sample loop (the contract in docs/KERNELS.md).
 LANC_SPEEDUP_FLOOR = 3.0
 
-#: And on the RLS walk, whose vector backend rides BLAS ``dsymv`` /
-#: ``dsyr`` symmetric rank-1 updates (see docs/PERFORMANCE.md).
+#: And on the RLS walk, whose kernel rides BLAS ``dsymv`` / ``dsyr``
+#: symmetric rank-1 updates (see docs/PERFORMANCE.md).
 RLS_SPEEDUP_FLOOR = 2.0
+
+#: ``backend`` name -> the context its engines run in.
+_KERNELS = {"loop": reference_kernels, "vector": contextlib.nullcontext}
 
 
 @pytest.fixture(scope="module")
@@ -43,81 +51,63 @@ def test_lanc_loop_one_second(benchmark, white_second, backend):
     d = np.convolve(white_second, np.array([0.0] * 12 + [0.5]))[:8000]
 
     def run():
-        f = LancFilter(n_future=64, n_past=512, secondary_path=s, mu=0.1,
-                       kernel_backend=backend)
-        return f.run(white_second, d)
+        f = LancFilter(n_future=64, n_past=512, secondary_path=s, mu=0.1)
+        with _KERNELS[backend]():
+            return f.run(white_second, d)
 
     result = benchmark(run)
     assert np.all(np.isfinite(result.error))
 
 
 def _sweep_workloads(x, d, s):
-    """(name, make_run) per engine; make_run(backend) -> timed callable.
+    """(name, run) per engine; run() -> the engine's error signal.
 
     Fresh filter per call — taps mutate, so a shared instance would
     time convergence from different starting points.
     """
 
-    def lanc(backend):
-        def run():
-            f = LancFilter(n_future=64, n_past=512, secondary_path=s,
-                           mu=0.1, kernel_backend=backend)
-            return f.run(x, d).error
-        return run
+    def lanc():
+        f = LancFilter(n_future=64, n_past=512, secondary_path=s, mu=0.1)
+        return f.run(x, d).error
 
-    def streaming(backend):
-        def run():
-            f = LancFilter(n_future=64, n_past=512, secondary_path=s,
-                           mu=0.1, kernel_backend=backend)
-            st = StreamingLanc(f)
-            st.feed(np.concatenate([x, np.zeros(f.n_future)]))
-            out = [st.process(d[i:i + 160]) for i in range(0, d.size, 160)]
-            return np.concatenate(out)
-        return run
+    def streaming():
+        f = LancFilter(n_future=64, n_past=512, secondary_path=s, mu=0.1)
+        st = StreamingLanc(f)
+        st.feed(np.concatenate([x, np.zeros(f.n_future)]))
+        out = [st.process(d[i:i + 160]) for i in range(0, d.size, 160)]
+        return np.concatenate(out)
 
-    def lms(backend):
-        def run():
-            f = LmsFilter(n_taps=128, mu=0.1, kernel_backend=backend)
-            return f.run(x, d).error
-        return run
+    def lms():
+        return LmsFilter(n_taps=128, mu=0.1).run(x, d).error
 
-    def rls(backend):
-        def run():
-            f = RlsFilter(n_taps=48, kernel_backend=backend)
-            return f.run(x, d).error
-        return run
+    def rls():
+        return RlsFilter(n_taps=48).run(x, d).error
 
-    def apa(backend):
-        def run():
-            f = ApaFilter(n_taps=128, order=4, mu=0.2,
-                          kernel_backend=backend)
-            return f.run(x, d).error
-        return run
+    def apa():
+        return ApaFilter(n_taps=128, order=4, mu=0.2).run(x, d).error
 
-    def multiref(backend):
-        def run():
-            f = MultiRefLancFilter(n_futures=[32, 32], n_past=192,
-                                   secondary_path=s, mu=0.1,
-                                   kernel_backend=backend)
-            return f.run([x, np.roll(x, 3)], d).error
-        return run
+    def multiref():
+        f = MultiRefLancFilter(n_futures=[32, 32], n_past=192,
+                               secondary_path=s, mu=0.1)
+        return f.run([x, np.roll(x, 3)], d).error
 
     return [("lanc", lanc), ("streaminglanc", streaming), ("lms", lms),
             ("rls", rls), ("apa", apa), ("multiref", multiref)]
 
 
 def test_kernel_backend_sweep(white_second, report):
-    """Every engine, both backends: wall times + speedups -> JSON."""
+    """Every engine, kernels vs loop oracle: wall times + speedups -> JSON."""
     s = np.zeros(8)
     s[2] = 1.0
     d = np.convolve(white_second, np.array([0.0] * 12 + [0.5]))[:8000]
 
     rows = []
-    for name, make_run in _sweep_workloads(white_second, d, s):
+    for name, run in _sweep_workloads(white_second, d, s):
         timings = {}
         outputs = {}
-        for backend in ("loop", "vector"):
-            timing = time_call(make_run(backend), repeats=3)
+        for backend, kernels in _KERNELS.items():
+            with kernels():
+                timing = time_call(run, repeats=3)
             outputs[backend] = timing.result
             timings[backend] = timing.best_s
         max_dev = float(np.max(np.abs(outputs["vector"] - outputs["loop"])))
@@ -128,11 +118,14 @@ def test_kernel_backend_sweep(white_second, report):
             "speedup": timings["loop"] / timings["vector"],
             "max_abs_deviation": max_dev,
         })
-        assert max_dev <= 1e-10, f"{name}: backends disagree ({max_dev})"
+        assert max_dev <= 1e-10, f"{name}: kernel and oracle disagree " \
+            f"({max_dev})"
 
     path = write_bench_json("kernels", {
         "schema": "repro.bench.kernels/v1",
         "workload": "1 s of white noise at 8 kHz",
+        "loop": "tests/reference/loop.py oracle",
+        "vector": "repro.core.adaptive.kernels (the program)",
         "lanc_speedup_floor": LANC_SPEEDUP_FLOOR,
         "rls_speedup_floor": RLS_SPEEDUP_FLOOR,
         "rows": rows,
@@ -146,10 +139,10 @@ def test_kernel_backend_sweep(white_second, report):
 
     by_engine = {row["engine"]: row for row in rows}
     assert by_engine["lanc"]["speedup"] >= LANC_SPEEDUP_FLOOR, \
-        f"LANC vector speedup {by_engine['lanc']['speedup']:.2f}x < " \
+        f"LANC kernel speedup {by_engine['lanc']['speedup']:.2f}x < " \
         f"{LANC_SPEEDUP_FLOOR}x"
     assert by_engine["rls"]["speedup"] >= RLS_SPEEDUP_FLOOR, \
-        f"RLS vector speedup {by_engine['rls']['speedup']:.2f}x < " \
+        f"RLS kernel speedup {by_engine['rls']['speedup']:.2f}x < " \
         f"{RLS_SPEEDUP_FLOOR}x"
 
 

@@ -1,4 +1,4 @@
-"""End-to-end pipeline benchmark: the fast paths vs the slow paths.
+"""End-to-end pipeline benchmark: the program vs its reference oracles.
 
 The committed regression gate for the profile-guided fast-path work
 (``docs/PERFORMANCE.md``): one fig12-style workload — the bench
@@ -6,14 +6,14 @@ scenario, an :class:`~repro.wireless.relay.AnalogRelay` FM chain, and
 seeded white noise — is run end to end through
 :meth:`MuteSystem.run <repro.core.system.MuteSystem.run>` twice:
 
-* **baseline** — the ``loop`` kernel backend with
-  :mod:`repro.utils.fastpath` disabled: every call site falls back to
-  the pre-fast-path arithmetic (``fftconvolve`` / uncached
-  ``resample_poly`` / general-form updates), preserved verbatim at
-  each site precisely so this bench has an honest denominator;
-* **fast** — the ``vector`` backend with the fast paths on: cached-FFT
-  overlap-save convolution, cached polyphase resampling, in-place
-  mod/demod, BLAS kernels.
+* **baseline** — the slow formulations in ``tests/reference``, swapped
+  in at the program's call sites: the per-sample ``loop`` kernels and
+  the pre-fast-path signal arithmetic (``fftconvolve`` / ``lfilter`` /
+  uncached ``resample_poly`` / textbook FM and AM), so this bench has
+  an honest denominator;
+* **fast** — the program as shipped: vectorized BLAS kernels,
+  cached-FFT overlap-save convolution, cached polyphase resampling,
+  in-place mod/demod.
 
 The bench asserts both the **speedup floor** (fast must beat baseline
 by ≥ :data:`PIPELINE_SPEEDUP_FLOOR`) and the **correctness contract**
@@ -26,14 +26,16 @@ Run with::
     pytest benchmarks/bench_pipeline.py -s
 """
 
+import contextlib
+
 import numpy as np
 
 from _bench_utils import time_call, write_bench_json
 from repro.core.system import MuteSystem
 from repro.eval.experiments.common import bench_scenario, default_config
 from repro.signals import WhiteNoise
-from repro.utils import fastpath
 from repro.wireless.relay import AnalogRelay
+from tests.reference import reference_kernels, reference_signal_path
 
 #: The fast configuration must beat the slow baseline end to end by at
 #: least this much (measured ~5x on the reference container; committed
@@ -41,7 +43,7 @@ from repro.wireless.relay import AnalogRelay
 PIPELINE_SPEEDUP_FLOOR = 2.0
 
 #: Max abs deviation allowed between fast and baseline residuals — the
-#: loop-vs-vector kernel contract; every conv/resample fast path is
+#: kernel-vs-oracle contract; every conv/resample fast path is
 #: individually bit-identical or ≤ 1e-12 (tests/test_fastconv.py).
 RESIDUAL_TOLERANCE = 1e-10
 
@@ -52,18 +54,25 @@ DURATION_S = 4.0
 SEED = 7
 
 
-def _build_system(backend):
+def _build_system():
     scenario = bench_scenario()
     relay = AnalogRelay(audio_rate=scenario.sample_rate, seed=SEED)
-    config = default_config(relay=relay, seed=SEED, kernel_backend=backend)
-    return MuteSystem(scenario, config), scenario.sample_rate
+    config = default_config(relay=relay, seed=SEED)
+    return MuteSystem(scenario, config)
 
 
-def _run_once(backend, fast, noise):
-    """One end-to-end MuteSystem.run under (backend, fastpath) settings."""
-    with fastpath.scope(fast):
-        system, __ = _build_system(backend)
-        return system.run(noise)
+@contextlib.contextmanager
+def _reference(signal_path=True):
+    """The loop oracle kernels, plus the signal-path oracles if asked."""
+    with reference_kernels(), (reference_signal_path() if signal_path
+                               else contextlib.nullcontext()):
+        yield
+
+
+def _run_once(noise, signal_path):
+    """One end-to-end run on the loop oracle kernels."""
+    with _reference(signal_path):
+        return _build_system().run(noise)
 
 
 def test_pipeline_fast_vs_slow(report):
@@ -80,20 +89,16 @@ def test_pipeline_fast_vs_slow(report):
                        seed=SEED).generate(DURATION_S)
 
     variants = {
-        "baseline": {"backend": "loop", "fast": False},
-        "fast": {"backend": "vector", "fast": True},
+        "baseline": ("tests/reference oracles", _reference),
+        "fast": ("program", contextlib.nullcontext),
     }
     rows = {}
-    for name, v in variants.items():
-        with fastpath.scope(v["fast"]):
-            system, __ = _build_system(v["backend"])
+    for name, (path, context) in variants.items():
+        with context():
+            system = _build_system()
             timing = time_call(lambda: system.run(noise),
                                repeats=3, warmup=1)
-        rows[name] = {
-            "kernel_backend": v["backend"],
-            "fastpath": v["fast"],
-            **timing.to_dict(),
-        }
+        rows[name] = {"path": path, **timing.to_dict()}
         rows[name]["result"] = timing.result
 
     base, fast = rows["baseline"], rows["fast"]
@@ -125,8 +130,8 @@ def test_pipeline_fast_vs_slow(report):
 
     report(
         f"end-to-end MuteSystem.run, {DURATION_S:.0f} s fig12 workload\n"
-        f"  baseline (loop, slow paths)  {base['median_s']:.3f} s\n"
-        f"  fast (vector, fast paths)    {fast['median_s']:.3f} s\n"
+        f"  baseline (reference oracles) {base['median_s']:.3f} s\n"
+        f"  fast (program)               {fast['median_s']:.3f} s\n"
         f"  speedup {speedup:.2f}x (floor {PIPELINE_SPEEDUP_FLOOR}x), "
         f"max residual dev {max_dev:.2e}\n"
         f"[written to {path}]"
@@ -139,16 +144,16 @@ def test_pipeline_fast_vs_slow(report):
 
 
 def test_fastpath_alone_is_transparent(report):
-    """Same backend, fastpath on vs off: tiny numeric envelope.
+    """Same oracle kernels, signal-path oracles on vs off.
 
     Isolates the conv/resample/mod-demod fast paths from the kernel
-    backend change — on the same ``loop`` backend the only deviations
+    change — on the same ``loop`` oracle kernels the only deviations
     left are the FFT-plan reuse effects (≤ ~1e-12 end to end).
     """
     noise = WhiteNoise(sample_rate=8000.0, level_rms=0.1,
                        seed=SEED).generate(1.0)
-    slow = _run_once("loop", False, noise)
-    fast = _run_once("loop", True, noise)
+    slow = _run_once(noise, signal_path=True)
+    fast = _run_once(noise, signal_path=False)
     max_dev = float(np.max(np.abs(fast.residual - slow.residual)))
     report(f"fastpath-only max residual dev: {max_dev:.2e}")
     assert max_dev <= RESIDUAL_TOLERANCE

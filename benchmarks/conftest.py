@@ -12,13 +12,24 @@ Runtime benches (``runtime_bench`` marker) measure the
 ``REPRO_RUNTIME_BENCH=1``, e.g.::
 
     pytest benchmarks/bench_runtime_cache.py --runtime-bench -s
+
+The speedup gates (``bench_pipeline.py``, ``bench_kernels.py``) time
+the program against the slow reference formulations in
+``tests/reference``; the repository root goes on ``sys.path`` so that
+package imports however pytest was launched.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def pytest_addoption(parser):

@@ -7,9 +7,7 @@ filter state across calls, which the sample-loop ANC simulator relies on.
 Convolution routes through the shared cached-FFT engine
 (:mod:`repro.utils.fastconv`): the spectrum of each impulse response is
 transformed once and reused across every ``apply`` call — the hot-path
-fix the ``repro perf-profile`` channel stage motivated.  With
-:mod:`repro.utils.fastpath` disabled, the historical
-``fftconvolve``/``lfilter`` arithmetic runs instead.
+fix the ``repro perf-profile`` channel stage motivated.
 """
 
 from __future__ import annotations

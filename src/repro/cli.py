@@ -53,8 +53,7 @@ Subcommands
     document CI uploads (see ``docs/PERFORMANCE.md``)::
 
         python -m repro perf-profile
-        python -m repro --kernel-backend vector perf-profile --json
-        python -m repro perf-profile --no-fastpath --out slow.json
+        python -m repro perf-profile --json --out profile.json
 
 ``obs-report``
     Run the headline office scenario with observability
@@ -81,7 +80,6 @@ import sys
 import time
 
 from . import obs
-from .core.adaptive import kernels
 from .eval import experiments
 
 
@@ -91,13 +89,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MUTE (SIGCOMM 2018) reproduction experiments",
-    )
-    parser.add_argument(
-        "--kernel-backend", choices=kernels.available_backends(),
-        default=None, metavar="BACKEND",
-        help="adaptive-kernel backend for every engine "
-             f"({'/'.join(kernels.available_backends())}; default: "
-             f"$REPRO_KERNEL_BACKEND or '{kernels.DEFAULT_BACKEND}')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -189,9 +180,6 @@ def build_parser():
                            "measures the cache-warm steady state)")
     perf.add_argument("--seed", type=int, default=7,
                       help="workload seed (default 7, the fig12 seed)")
-    perf.add_argument("--no-fastpath", action="store_true",
-                      help="profile with repro.utils.fastpath disabled "
-                           "(the slow-path baseline)")
     perf.add_argument("--json", action="store_true",
                       help="emit the repro.perf/v1 JSON document instead "
                            "of text")
@@ -248,7 +236,6 @@ def _run_suite(args, out):
         request=runtime.RunRequest(
             seed=args.seed,
             duration_s=args.duration,
-            kernel_backend=args.kernel_backend,
             with_obs=not args.no_obs,
             jobs=args.jobs,
         ),
@@ -406,8 +393,7 @@ def _run_perf_profile(args, out):
 
     doc = profile_pipeline(
         duration_s=args.duration, repeats=args.repeats, warmup=args.warmup,
-        seed=args.seed, kernel_backend=args.kernel_backend,
-        use_fastpath=False if args.no_fastpath else None,
+        seed=args.seed,
     )
     if args.out:
         try:
@@ -507,10 +493,6 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
 
-    # The kernel backend rides on a RunRequest (scoped around each
-    # command) rather than a permanent environment write.
-    backend_request = RunRequest(kernel_backend=args.kernel_backend)
-
     if args.command == "list":
         catalog = experiments.all_experiments()
         width = max(len(entry.name) for entry in catalog)
@@ -519,20 +501,16 @@ def main(argv=None, out=None):
         return 0
 
     if args.command == "obs-report":
-        with backend_request.kernel_backend_scope():
-            return _run_obs_report(args, out)
+        return _run_obs_report(args, out)
 
     if args.command == "perf-profile":
-        with backend_request.kernel_backend_scope():
-            return _run_perf_profile(args, out)
+        return _run_perf_profile(args, out)
 
     if args.command == "serve-bench":
-        with backend_request.kernel_backend_scope():
-            return _run_serve_bench(args, out)
+        return _run_serve_bench(args, out)
 
     if args.command == "chaos-soak":
-        with backend_request.kernel_backend_scope():
-            return _run_chaos_soak(args, out)
+        return _run_chaos_soak(args, out)
 
     if args.command == "run-all":
         try:
@@ -542,8 +520,7 @@ def main(argv=None, out=None):
 
     names = experiments.experiment_names() if args.experiment == "all" \
         else [args.experiment]
-    request = RunRequest(seed=args.seed, duration_s=args.duration,
-                         kernel_backend=args.kernel_backend)
+    request = RunRequest(seed=args.seed, duration_s=args.duration)
     try:
         for name in names:
             _run_one(name, request, out)

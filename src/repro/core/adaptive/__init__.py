@@ -1,8 +1,7 @@
 """Adaptive-filter engines: LMS/NLMS, FxLMS, and lookahead-aware LANC.
 
-All engines run their inner loops through the pluggable kernel layer in
-:mod:`repro.core.adaptive.kernels` (``loop`` reference backend /
-``vector`` fast backend) — see ``docs/KERNELS.md``.
+All engines run their inner loops through the shared kernel layer in
+:mod:`repro.core.adaptive.kernels` — see ``docs/KERNELS.md``.
 """
 
 from . import kernels
@@ -15,7 +14,7 @@ from .base import (
     record_run_metrics,
 )
 from .block import BlockLancFilter
-from .kernels import KernelState, available_backends, resolve_backend_name
+from .kernels import KernelState
 from .lanc import FxlmsFilter, LancFilter
 from .lms import LmsFilter, identify_system
 from .multiref import MultiRefLancFilter
@@ -37,6 +36,4 @@ __all__ = [
     "RlsFilter",
     "kernels",
     "KernelState",
-    "available_backends",
-    "resolve_backend_name",
 ]

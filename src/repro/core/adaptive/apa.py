@@ -51,21 +51,15 @@ class ApaFilter:
         Relative step, stable in (0, 2) like NLMS.
     epsilon:
         Regularizer for the P×P Gram inverse.
-    kernel_backend:
-        Kernel backend for :meth:`run` (``None`` = env var / default).
     """
 
-    def __init__(self, n_taps, order=4, mu=0.5, epsilon=1e-6,
-                 kernel_backend=None):
+    def __init__(self, n_taps, order=4, mu=0.5, epsilon=1e-6):
         self.n_taps = check_positive_int("n_taps", n_taps)
         self.order = check_positive_int("order", order)
         if self.order > self.n_taps:
             raise ConfigurationError("order cannot exceed n_taps")
         self.mu = check_positive("mu", mu)
         self.epsilon = check_positive("epsilon", epsilon)
-        if kernel_backend is not None:
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.taps = np.zeros(self.n_taps)
         # Ring of the last `order` input windows (rows, newest first).
         self._U = np.zeros((self.order, self.n_taps))
@@ -109,15 +103,13 @@ class ApaFilter:
         check_same_length("x", x, "d", d)
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
-        backend = kernels.resolve_backend_name(self.kernel_backend)
         predictions, errors = kernels.apa_run(
             x, d, self.taps, self._window, self._U, self._d, self.mu,
-            self.epsilon, backend=backend, context="ApaFilter",
+            self.epsilon, context="ApaFilter",
         )
         if enabled:
             record_run_metrics("apafilter", errors, d,
-                               time.perf_counter() - t_start,
-                               backend=backend)
+                               time.perf_counter() - t_start)
         return AdaptationResult(
             error=errors,
             output=predictions,

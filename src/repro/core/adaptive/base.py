@@ -157,21 +157,13 @@ def effective_step(mu, window, normalized, epsilon=1e-8):
     return mu / (power + epsilon)
 
 
-def _metric_labels(engine, backend):
-    labels = {"engine": engine}
-    if backend is not None:
-        labels["backend"] = backend
-    return labels
-
-
-def record_run_metrics(engine, errors, desired, wall_s, backend=None):
+def record_run_metrics(engine, errors, desired, wall_s):
     """Record one batch adaptation run in the obs metrics registry.
 
     Call **only when** :func:`repro.obs.enabled` — computing the
     misadjustment costs two reductions the disabled path must not pay.
 
-    Emits, labeled ``engine=<name>`` (plus ``backend=<name>`` when a
-    kernel backend is given):
+    Emits, labeled ``engine=<name>``:
 
     * ``adaptive.samples`` (counter) — samples processed;
     * ``adaptive.run_s`` (histogram) — wall time of the run;
@@ -180,29 +172,27 @@ def record_run_metrics(engine, errors, desired, wall_s, backend=None):
       → 0 as it converges).
     """
     registry = obs.get_registry()
-    labels = _metric_labels(engine, backend)
-    registry.counter("adaptive.samples", **labels).inc(errors.size)
-    registry.histogram("adaptive.run_s", **labels).observe(wall_s)
+    registry.counter("adaptive.samples", engine=engine).inc(errors.size)
+    registry.histogram("adaptive.run_s", engine=engine).observe(wall_s)
     tail = errors[-max(errors.size // 4, 1):]
     reference_power = float(np.mean(np.square(desired)))
     if reference_power > 0.0:
-        registry.gauge("adaptive.misadjustment", **labels).set(
+        registry.gauge("adaptive.misadjustment", engine=engine).set(
             float(np.mean(np.square(tail))) / reference_power
         )
 
 
-def record_block_metrics(engine, wall_s, n_samples, backend=None):
+def record_block_metrics(engine, wall_s, n_samples):
     """Record one streaming/block update in the obs metrics registry.
 
     The shared tail of every block-processing path (both branches of
     ``StreamingLanc.process``, ``BlockLancFilter``): one observation in
     the ``adaptive.block_update_s`` latency histogram — what the
     timing-budget report compares against the real-time deadline — and
-    the processed-sample counter.  Labeled ``engine=<name>`` plus
-    ``backend=<name>`` when a kernel backend is given.  Call **only
-    when** :func:`repro.obs.enabled`.
+    the processed-sample counter.  Labeled ``engine=<name>``.  Call
+    **only when** :func:`repro.obs.enabled`.
     """
     registry = obs.get_registry()
-    labels = _metric_labels(engine, backend)
-    registry.histogram("adaptive.block_update_s", **labels).observe(wall_s)
-    registry.counter("adaptive.samples", **labels).inc(n_samples)
+    registry.histogram("adaptive.block_update_s",
+                       engine=engine).observe(wall_s)
+    registry.counter("adaptive.samples", engine=engine).inc(n_samples)

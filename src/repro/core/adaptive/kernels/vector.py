@@ -1,6 +1,7 @@
-"""The ``vector`` backend: sliding-window views + precomputed recursions.
+"""The adaptive kernels: sliding-window views + precomputed recursions.
 
-Same math as :mod:`.loop`, restructured for throughput:
+Same math as the audited per-sample formulation (kept as the test
+oracle ``tests/reference/loop.py``), restructured for throughput:
 
 * windows come from :func:`numpy.lib.stride_tricks.sliding_window_view`
   over the padded reference — zero copies, zero per-sample slicing
@@ -25,9 +26,10 @@ per sample: the same :class:`repro.errors.ConvergenceError` is raised
 for the same first offending sample, just a few hundred samples of
 (ignored) arithmetic later.
 
-Contract: every entry point matches :mod:`.loop` to ≤ 1e-10 absolute on
-errors/outputs/taps (property-tested in ``tests/test_kernels.py``); it
-is *not* bit-identical — summation orders differ.
+Contract: every entry point matches the per-sample oracle to ≤ 1e-10
+absolute on errors/outputs/taps (property-tested in
+``tests/test_kernels.py``); it is *not* bit-identical — summation
+orders differ.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _ringing(opad, s_rev):
 
 def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
               active=True, adapt_mask=None, context="LancFilter"):
-    """Batch two-sided FxLMS (vectorized); see :func:`loop.fxlms_run`."""
+    """Batch two-sided FxLMS (oracle: ``loop.fxlms_run``)."""
     T = d.size
     n_taps = state.n_taps
     s_true = state.secondary_true
@@ -128,7 +130,7 @@ def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
                 active=True, context="StreamingLanc"):
-    """One streaming block (vectorized); see :func:`loop.fxlms_block`."""
+    """One streaming FxLMS block (oracle: ``loop.fxlms_block``)."""
     B = d.size
     n_future, n_past, n_taps = state.n_future, state.n_past, state.n_taps
     s_true = state.secondary_true
@@ -150,7 +152,7 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
         return errors
 
     # Reference segment covering every window of the block, zero-padded
-    # on the left exactly like the loop backend's early-sample windows.
+    # on the left exactly like the oracle's early-sample windows.
     lo0 = time - (n_past - 1)
     seg = state.x[max(lo0, 0): time + B + n_future]
     segf = state.xf[max(lo0, 0): time + B + n_future]
@@ -254,8 +256,8 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     batched serving is *bit-identical* to serial serving that calls
     this kernel with singleton batches (property-tested in
     ``tests/test_serving.py``).  Against the per-session
-    :func:`fxlms_block` the usual vector-backend contract applies:
-    ≤ 1e-10, not bit-identity (summation orders differ).
+    :func:`fxlms_block` the contract is ≤ 1e-10, not bit-identity
+    (summation orders differ).
     """
     from .workspace import BatchWorkspace
 
@@ -362,7 +364,7 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
 
 def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
             context="LmsFilter"):
-    """Causal (N)LMS (vectorized); see :func:`loop.lms_run`."""
+    """Causal (N)LMS (oracle: ``loop.lms_run``)."""
     T = x.size
     n = taps.size
     # Extend with the shift-register history so mid-stream runs resume
@@ -401,7 +403,7 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
     """Exponentially-weighted RLS with BLAS symmetric rank-1 updates.
 
     The O(M²) inverse-correlation recursion is inherently sequential;
-    the vector backend removes the per-sample shift register by working
+    this kernel removes the per-sample shift register by working
     in forward order (``P`` conjugated by the flip permutation, which
     leaves its identity initialization invariant) and keeps ``P`` as a
     **lower-triangular Fortran-ordered** operand for raw BLAS:
@@ -412,7 +414,7 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
       explicit re-symmetrization the general-form loop needs per sample
       collapses to one triangle mirror after the walk.
 
-    Contract vs :func:`loop.rls_run` unchanged: ≤ 1e-10 on
+    Contract vs the ``loop.rls_run`` oracle: ≤ 1e-10 on
     predictions/errors/taps/``P``.
     """
     T = x.size
@@ -512,7 +514,7 @@ def apa_run(x, d, taps, window, U, d_ring, mu, epsilon,
 
 def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
                  adapt=True, context="MultiRefLancFilter"):
-    """Multi-reference two-sided FxLMS; see :func:`loop.multiref_run`."""
+    """Multi-reference two-sided FxLMS (oracle: ``loop.multiref_run``)."""
     T = d.size
     s_true = states[0].secondary_true
     s_len = s_true.size

@@ -69,14 +69,10 @@ class LancFilter:
         Normalize the step by the filtered-reference window power.
     leak:
         Leaky-LMS decay, guards against tap drift on narrowband inputs.
-    kernel_backend:
-        Kernel backend name (``"loop"`` / ``"vector"``); ``None`` defers
-        to ``REPRO_KERNEL_BACKEND`` then the default — see
-        :mod:`repro.core.adaptive.kernels`.
     """
 
     def __init__(self, n_future, n_past, secondary_path, mu=0.5,
-                 normalized=True, leak=0.0, kernel_backend=None):
+                 normalized=True, leak=0.0):
         self.n_future = check_non_negative_int("n_future", n_future)
         self.n_past = check_positive_int("n_past", n_past)
         self.secondary_path = check_impulse_response(
@@ -87,10 +83,6 @@ class LancFilter:
         if not 0.0 <= leak < 1.0:
             raise ConfigurationError(f"leak must be in [0, 1), got {leak}")
         self.leak = float(leak)
-        if kernel_backend is not None:
-            # Validate eagerly; resolution happens per run (env may change).
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.n_taps = self.n_future + self.n_past
         #: Tap values, stored future-first: ``taps[i] ↔ k = i - n_future``.
         self.taps = np.zeros(self.n_taps)
@@ -175,20 +167,18 @@ class LancFilter:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
 
-        backend = kernels.resolve_backend_name(self.kernel_backend)
         state = kernels.KernelState.batch(
             x, self.n_future, self.n_past, self.secondary_path, s_true
         )
         errors, outputs = kernels.fxlms_run(
-            state, self.taps, d, self.mu, backend=backend,
-            normalized=self.normalized, leak=self.leak, adapt=adapt,
-            adapt_mask=adapt_mask, context="LancFilter",
+            state, self.taps, d, self.mu, normalized=self.normalized,
+            leak=self.leak, adapt=adapt, adapt_mask=adapt_mask,
+            context="LancFilter",
         )
 
         if enabled:
             record_run_metrics(type(self).__name__.lower(), errors, d,
-                               time.perf_counter() - t_start,
-                               backend=backend)
+                               time.perf_counter() - t_start)
         return AdaptationResult(
             error=errors,
             output=outputs,
@@ -205,11 +195,10 @@ class FxlmsFilter(LancFilter):
     """
 
     def __init__(self, n_taps, secondary_path, mu=0.5, normalized=True,
-                 leak=0.0, kernel_backend=None):
+                 leak=0.0):
         super().__init__(n_future=0, n_past=n_taps,
                          secondary_path=secondary_path, mu=mu,
-                         normalized=normalized, leak=leak,
-                         kernel_backend=kernel_backend)
+                         normalized=normalized, leak=leak)
 
 
 class StreamingLanc:
@@ -296,17 +285,14 @@ class StreamingLanc:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
         f = self.filter
-        backend = kernels.resolve_backend_name(f.kernel_backend)
         errors = kernels.fxlms_block(
-            self._state, f.taps, d, f.mu, backend=backend,
-            normalized=f.normalized, leak=f.leak, adapt=adapt,
-            active=active, context="StreamingLanc",
+            self._state, f.taps, d, f.mu, normalized=f.normalized,
+            leak=f.leak, adapt=adapt, active=active, context="StreamingLanc",
         )
         self.errors.append(errors)
         if enabled:
             record_block_metrics("streaminglanc",
-                                 time.perf_counter() - t_start, d.size,
-                                 backend=backend)
+                                 time.perf_counter() - t_start, d.size)
         return errors
 
     def error_signal(self):

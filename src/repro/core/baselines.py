@@ -143,8 +143,7 @@ class BoseHeadphone:
 
 def simulate_delay_limited_fxlms(noise, sample_rate, delay_error_s,
                                  n_taps=96, mu=0.05, leak=1e-3,
-                                 settle_fraction=0.3,
-                                 kernel_backend=None):
+                                 settle_fraction=0.3):
     """Time-domain check of the delay-limited model.
 
     Runs causal FxLMS where the *true* secondary path contains an extra
@@ -172,7 +171,7 @@ def simulate_delay_limited_fxlms(noise, sample_rate, delay_error_s,
     s_true = np.convolve(s_nominal, late)   # what physics does
 
     lanc = LancFilter(n_future=0, n_past=n_taps, secondary_path=s_nominal,
-                      mu=mu, leak=leak, kernel_backend=kernel_backend)
+                      mu=mu, leak=leak)
     result = lanc.run(noise, noise, secondary_path_true=s_true)
     start = int(noise.size * settle_fraction)
     return cancellation_spectrum_db(noise[start:], result.error[start:],

@@ -30,7 +30,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..hardware.dsp_board import tms320c6713
 from ..utils.validation import check_positive, check_waveform
-from .adaptive import kernels
 from .adaptive.lanc import LancFilter, StreamingLanc
 from .profiles import PredictiveProfileSwitcher, ProfileClassifier
 from .relay_selection import RelaySelector
@@ -88,17 +87,12 @@ class OnlineMuteDevice:
         :func:`repro.core.load_learned_state`).  When given, the device
         also runs predictive profile switching on each block's lookahead
         window, with one filter cache per relay assignment.
-    kernel_backend:
-        Adaptive-kernel backend for the streaming cancelers (``None`` =
-        env var / default; see :mod:`repro.core.adaptive.kernels`).  The
-        ``vector`` backend pays off here twice: in the per-block loop
-        and in the frozen-tap skip-ahead after a handoff.
     """
 
     def __init__(self, scenario, n_future_max=64, n_past=384, mu=0.15,
                  block_s=0.05, reselect_interval_s=0.5,
                  correlation_window_s=0.5, dsp=None, seed=0,
-                 classifier=None, kernel_backend=None):
+                 classifier=None):
         if classifier is not None and not isinstance(classifier,
                                                      ProfileClassifier):
             raise ConfigurationError(
@@ -121,9 +115,6 @@ class OnlineMuteDevice:
                                correlation_window_s) * self.fs), 64)
         self.dsp = dsp or tms320c6713()
         self.seed = seed
-        if kernel_backend is not None:
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.selector = RelaySelector(sample_rate=self.fs,
                                       min_confidence=3.0)
 
@@ -195,8 +186,7 @@ class OnlineMuteDevice:
         reference = np.zeros(T)
         reference[lag:] = forwarded[relay][: T - lag]
         lanc = LancFilter(n_future=n_future, n_past=self.n_past,
-                          secondary_path=self._s_hat, mu=self.mu,
-                          kernel_backend=self.kernel_backend)
+                          secondary_path=self._s_hat, mu=self.mu)
         cached = cache.get((relay, lag))
         warm = cached is not None
         if warm:

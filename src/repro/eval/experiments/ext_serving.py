@@ -11,18 +11,16 @@ other session — both to measure cancellation under batch serving and
 to lock the serial == batched bit-identity contract into the
 experiment suite.
 
-The resolved kernel-backend name is recorded in the results, which
-makes this experiment the end-to-end probe for
-:class:`~repro.runtime.RunRequest` propagation: a request's
-``kernel_backend`` must reach worker processes, and its ``fault_plan``
-must reach the sessions (``tests/test_runtime.py`` asserts both).
+It is also the end-to-end probe for :class:`~repro.runtime.RunRequest`
+propagation: a request's ``seed`` and ``fault_plan`` must reach the
+sessions, in worker processes too (``tests/test_runtime.py`` asserts
+both).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ...core.adaptive import kernels
 from ...serving import ServerConfig, SessionServer, SessionWorkload
 from .registry import experiment_result
 
@@ -36,7 +34,6 @@ class ServingResult:
     sessions: int
     batched: bool
     block_size: int
-    kernel_backend: str        #: backend name resolved inside the run
     faulted_sessions: int      #: sessions that carried the fault plan
     statuses: dict             #: status -> count
     digests: dict              #: session name -> residual SHA-256
@@ -55,7 +52,7 @@ class ServingResult:
         mode = "batched" if self.batched else "serial"
         lines = [
             f"serving: {self.sessions} session(s), {mode}, "
-            f"block={self.block_size}, backend={self.kernel_backend}, "
+            f"block={self.block_size}, "
             f"{self.faulted_sessions} faulted, shed={self.shed}",
             f"mean cancellation {self.mean_cancellation_db():.1f} dB",
         ]
@@ -115,7 +112,6 @@ def run_serving(duration_s=1.0, *, seed=0, scenario=None, sessions=8,
         sessions=sessions,
         batched=bool(batched),
         block_size=int(block_size),
-        kernel_backend=kernels.resolve_backend_name(),
         faulted_sessions=faulted,
         statuses=serving_report.statuses(),
         digests=serving_report.digests(),

@@ -16,8 +16,7 @@ stage in isolation:
     discriminate, resample down — the polyphase-cache fast path's
     territory.
 ``kernel``
-    The adaptive LANC walk over the prepared signals (the backend
-    selected per the usual ``REPRO_KERNEL_BACKEND`` order).
+    The adaptive LANC walk over the prepared signals.
 ``ear``
     Ear-side hardware: transducer coloration and ear-canal coupling
     (:mod:`repro.hardware`).
@@ -30,7 +29,8 @@ motivation.
 
 Stage timings are *diagnostic* (where does the time go?); the committed
 regression gate lives in ``benchmarks/bench_pipeline.py``, which runs
-the same workload fast-vs-slow and asserts the speedup floor.
+the same workload against the slow reference formulations and asserts
+the speedup floor.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..errors import ConfigurationError
 from ..eval.experiments.common import bench_scenario, default_config
 from ..hardware.ear import EarCanalCoupling
 from ..signals import WhiteNoise
-from ..utils import fastpath
 from ..wireless.relay import AnalogRelay
 from .timer import time_call
 
@@ -61,8 +60,7 @@ def default_noise(duration_s, sample_rate=8000.0, seed=7):
                       seed=seed).generate(duration_s)
 
 
-def profile_pipeline(duration_s=2.0, repeats=3, warmup=1, seed=7,
-                     kernel_backend=None, use_fastpath=None):
+def profile_pipeline(duration_s=2.0, repeats=3, warmup=1, seed=7):
     """Profile the pipeline; returns a ``repro.perf/v1`` dict.
 
     Parameters
@@ -74,14 +72,6 @@ def profile_pipeline(duration_s=2.0, repeats=3, warmup=1, seed=7,
         calls — warmup 1 measures the steady state the caches serve.
     seed:
         Workload seed (Figure 12 uses 7).
-    kernel_backend:
-        Adaptive-kernel backend override (``"loop"``/``"vector"``);
-        ``None`` defers to ``REPRO_KERNEL_BACKEND`` then the default.
-    use_fastpath:
-        Force the :mod:`repro.utils.fastpath` toggle for the whole
-        profile (``True``/``False``); ``None`` keeps the ambient
-        setting.  Profiling both settings is how a fast path's stage
-        win is demonstrated.
     """
     if duration_s <= 0:
         raise ConfigurationError(
@@ -89,50 +79,48 @@ def profile_pipeline(duration_s=2.0, repeats=3, warmup=1, seed=7,
     scenario = bench_scenario()
     sample_rate = scenario.sample_rate
     relay = AnalogRelay(audio_rate=sample_rate, seed=seed)
-    config = default_config(relay=relay, seed=seed,
-                            kernel_backend=kernel_backend)
+    config = default_config(relay=relay, seed=seed)
 
-    with fastpath.scope(use_fastpath):
-        system = MuteSystem(scenario, config)
-        noise = default_noise(duration_s, sample_rate, seed)
-        prepared = system.prepare(noise)
-        earcup_model = EarCanalCoupling(sample_rate=sample_rate)
-        transducer = config.transducer
-        h_ne = system.channels.h_ne
-        h_nr = system.channels.h_nr[system.relay_index]
-        source = WhiteNoise(sample_rate=sample_rate, level_rms=0.1,
-                            seed=seed)
-        captured = h_nr.apply(noise)
-        antinoise = prepared.disturbance_at_ear  # stand-in drive signal
+    system = MuteSystem(scenario, config)
+    noise = default_noise(duration_s, sample_rate, seed)
+    prepared = system.prepare(noise)
+    earcup_model = EarCanalCoupling(sample_rate=sample_rate)
+    transducer = config.transducer
+    h_ne = system.channels.h_ne
+    h_nr = system.channels.h_nr[system.relay_index]
+    source = WhiteNoise(sample_rate=sample_rate, level_rms=0.1,
+                        seed=seed)
+    captured = h_nr.apply(noise)
+    antinoise = prepared.disturbance_at_ear  # stand-in drive signal
 
-        def run_kernel():
-            lanc = system.make_filter(n_future=prepared.n_future)
-            return lanc.run(
-                prepared.reference, prepared.disturbance_at_ear,
-                secondary_path_true=prepared.secondary_path_true)
+    def run_kernel():
+        lanc = system.make_filter(n_future=prepared.n_future)
+        return lanc.run(
+            prepared.reference, prepared.disturbance_at_ear,
+            secondary_path_true=prepared.secondary_path_true)
 
-        def run_ear():
-            colored = transducer.apply(antinoise)
-            return earcup_model.drum_pressure(prepared.disturbance_at_ear,
-                                              colored)
+    def run_ear():
+        colored = transducer.apply(antinoise)
+        return earcup_model.drum_pressure(prepared.disturbance_at_ear,
+                                          colored)
 
-        stage_fns = {
-            "synthesis": lambda: source.generate(duration_s),
-            "channel": lambda: (h_ne.apply(noise), h_nr.apply(noise)),
-            "relay": lambda: relay.forward(captured),
-            "kernel": run_kernel,
-            "ear": run_ear,
-        }
-        stages = []
-        for name in STAGES:
-            timing = time_call(stage_fns[name], repeats=repeats,
-                               warmup=warmup)
-            stages.append({"stage": name, **timing.to_dict()})
+    stage_fns = {
+        "synthesis": lambda: source.generate(duration_s),
+        "channel": lambda: (h_ne.apply(noise), h_nr.apply(noise)),
+        "relay": lambda: relay.forward(captured),
+        "kernel": run_kernel,
+        "ear": run_ear,
+    }
+    stages = []
+    for name in STAGES:
+        timing = time_call(stage_fns[name], repeats=repeats,
+                           warmup=warmup)
+        stages.append({"stage": name, **timing.to_dict()})
 
-        end_to_end = time_call(lambda: system.run(noise), repeats=repeats,
-                               warmup=warmup)
-        residual_rms = float(np.sqrt(np.mean(
-            np.square(end_to_end.result.residual))))
+    end_to_end = time_call(lambda: system.run(noise), repeats=repeats,
+                           warmup=warmup)
+    residual_rms = float(np.sqrt(np.mean(
+        np.square(end_to_end.result.residual))))
 
     total_stage_s = sum(s["median_s"] for s in stages)
     for s in stages:
@@ -151,9 +139,6 @@ def profile_pipeline(duration_s=2.0, repeats=3, warmup=1, seed=7,
         "settings": {
             "repeats": int(repeats),
             "warmup": int(warmup),
-            "kernel_backend": kernel_backend,
-            "fastpath": fastpath.enabled() if use_fastpath is None
-            else bool(use_fastpath),
         },
         "stages": stages,
         "total_stage_s": total_stage_s,
@@ -166,9 +151,7 @@ def render_profile(doc):
     """Terminal table for one :func:`profile_pipeline` document."""
     lines = [
         f"== perf profile: {doc['workload']['duration_s']:.1f} s "
-        f"fig12 workload, backend="
-        f"{doc['settings']['kernel_backend'] or 'default'}, "
-        f"fastpath={'on' if doc['settings']['fastpath'] else 'off'} ==",
+        f"fig12 workload ==",
         f"  {'stage':<10} {'median':>10} {'best':>10} {'share':>7}",
     ]
     for s in doc["stages"]:

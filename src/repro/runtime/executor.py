@@ -10,10 +10,8 @@ whenever a pool is unavailable or ``jobs=1``, and folds each worker's
 
 Run context travels as a :class:`~repro.runtime.request.RunRequest`:
 the request is pickled into each worker and applied *there* (seed,
-duration, fault plan, kernel backend, obs switch), so parallel workers
-see exactly the context a serial run would — the legacy
-``jobs=``/``params=``/``with_obs=`` kwargs still work but emit a
-``DeprecationWarning``.
+duration, fault plan, obs switch), so parallel workers see exactly the
+context a serial run would.
 
 This is what backs ``repro run-all --jobs N`` and
 :func:`repro.runtime.sweep`.  Determinism: a worker runs exactly the
@@ -48,7 +46,6 @@ import json
 import pickle
 import random
 import time
-import warnings
 from concurrent import futures
 
 from .. import obs
@@ -66,8 +63,6 @@ __all__ = ["JobOutcome", "JobRetryPolicy", "SuiteReport", "run_experiments"]
 #: envelope family (shared with ``ExperimentResult``; documents carry
 #: ``kind: "suite"`` vs ``kind: "result"``).
 SUITE_SCHEMA = "repro.runtime.report/v2"
-
-_UNSET = object()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,8 +149,8 @@ def _execute_job(name, params, request):
     returns a :class:`JobOutcome`; exceptions are captured as text so a
     single failing experiment doesn't sink the whole suite.  The
     :class:`RunRequest` is applied *here*, inside the worker — its
-    kernel backend, seed, fault plan, and obs switch reach the run the
-    same way serial execution would apply them.
+    seed, fault plan, and obs switch reach the run the same way serial
+    execution would apply them.
     """
     # Imported here, not at module top: worker processes pay the import
     # only when they actually run something.
@@ -488,33 +483,7 @@ def _run_pool(jobs_list, request, policy, n_workers):
     return outcomes, False
 
 
-def _resolve_request(request, jobs, params, with_obs):
-    """Fold the legacy kwargs into one :class:`RunRequest`."""
-    legacy = {name: value
-              for name, value in (("jobs", jobs), ("params", params),
-                                  ("with_obs", with_obs))
-              if value is not _UNSET}
-    if not legacy:
-        return request if request is not None else RunRequest()
-    if request is not None:
-        raise ConfigurationError(
-            "pass either request= or the legacy kwargs, not both "
-            f"(got request plus {', '.join(sorted(legacy))})"
-        )
-    warnings.warn(
-        "run_experiments(jobs=/params=/with_obs=) is deprecated; pass "
-        "request=repro.runtime.RunRequest(...) instead",
-        DeprecationWarning, stacklevel=3,
-    )
-    return RunRequest(
-        jobs=legacy.get("jobs", 1),
-        with_obs=bool(legacy.get("with_obs", True)),
-        params=legacy.get("params") or {},
-    )
-
-
-def run_experiments(names, request=None, jobs=_UNSET, params=_UNSET,
-                    per_experiment=None, with_obs=_UNSET, retry=None):
+def run_experiments(names, request=None, per_experiment=None, retry=None):
     """Run several experiments, optionally in parallel processes.
 
     Parameters
@@ -527,9 +496,8 @@ def run_experiments(names, request=None, jobs=_UNSET, params=_UNSET,
         A :class:`~repro.runtime.request.RunRequest` carrying the run
         context: worker count (``request.jobs``; ``1`` runs serially
         in-process), seed/duration/fault plan/extra params broadcast
-        to every run (applied where each runner accepts them), the
-        kernel backend, and the obs switch.  ``None`` means the
-        default request.
+        to every run (applied where each runner accepts them), and the
+        obs switch.  ``None`` means the default request.
     per_experiment:
         ``name -> params dict`` merged per run (these are strict: an
         unknown name raises ``UnknownParameterError``).
@@ -539,10 +507,6 @@ def run_experiments(names, request=None, jobs=_UNSET, params=_UNSET,
         ``None``).  Only meaningful on the parallel path — the serial
         path runs in-process, where a worker cannot die separately
         and a deadline cannot be enforced.
-    jobs / params / with_obs:
-        Deprecated — the pre-``RunRequest`` spelling of the same
-        context.  Still honored (folded into a request) with a
-        ``DeprecationWarning``; mutually exclusive with ``request=``.
 
     Returns a :class:`SuiteReport`.  If the process pool cannot be
     *created* (pickling limits, a sandboxed platform), the work falls
@@ -552,7 +516,7 @@ def run_experiments(names, request=None, jobs=_UNSET, params=_UNSET,
     re-running a worker-killing job in the caller's own process is
     never a safe fallback.
     """
-    request = _resolve_request(request, jobs, params, with_obs)
+    request = request if request is not None else RunRequest()
     retry = retry or JobRetryPolicy()
     jobs_list = []
     for item in names:

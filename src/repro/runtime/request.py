@@ -1,29 +1,25 @@
 """RunRequest — the one context object a run is asked *with*.
 
-Before this module existed, run context leaked through three side
-channels: ad-hoc ``**overrides`` kwargs on :meth:`Experiment.run`, a
-``params`` dict threaded through :func:`run_experiments`, and the
-``REPRO_KERNEL_BACKEND`` environment variable mutated by the CLI so
-worker processes would inherit it.  A :class:`RunRequest` replaces all
-three: it names the seed, the duration, the kernel backend, the fault
-plan, the observability switch, and the worker count in one frozen,
-picklable value that travels *with* the job — into
+Before this module existed, run context leaked through side channels:
+ad-hoc ``**overrides`` kwargs on :meth:`Experiment.run` and a
+``params`` dict threaded through :func:`run_experiments`.  A
+:class:`RunRequest` replaces them: it names the seed, the duration, the
+fault plan, the observability switch, and the worker count in one
+frozen, picklable value that travels *with* the job — into
 :meth:`repro.eval.experiments.registry.Experiment.run`,
 :func:`repro.runtime.run_experiments` workers, and
 :meth:`repro.serving.SessionManager.submit` alike.
 
 Determinism contract: two identical requests produce bit-identical
 results regardless of ``jobs`` — the request is applied inside the
-worker (see :func:`RunRequest.kernel_backend_scope`), not smuggled via
-process-global state, so serial and parallel execution see the same
-context.  ``tests/test_runtime.py`` locks this in end-to-end.
+worker, not smuggled via process-global state, so serial and parallel
+execution see the same context.  ``tests/test_runtime.py`` locks this
+in end-to-end.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import os
 
 from ..errors import ConfigurationError
 
@@ -53,10 +49,6 @@ class RunRequest:
         Random seed forwarded to runners that accept one.
     duration_s:
         Simulated seconds forwarded to runners that accept it.
-    kernel_backend:
-        Adaptive-kernel backend name (``"loop"`` / ``"vector"``);
-        applied around the run via :meth:`kernel_backend_scope`, so it
-        reaches every engine without per-engine plumbing.
     fault_plan:
         A :class:`repro.faults.FaultPlan` forwarded to runners (and
         serving sessions) that accept one.
@@ -72,7 +64,6 @@ class RunRequest:
 
     seed: int | None = None
     duration_s: float | None = None
-    kernel_backend: str | None = None
     fault_plan: object | None = None
     with_obs: bool = True
     jobs: int = 1
@@ -84,12 +75,6 @@ class RunRequest:
             raise ConfigurationError(
                 f"RunRequest.jobs must be >= 1, got {self.jobs}"
             )
-        if self.kernel_backend is not None:
-            # Validate eagerly — a typo should fail at request build
-            # time, not inside a worker process.
-            from ..core.adaptive import kernels
-
-            kernels.resolve_backend_name(self.kernel_backend)
 
     def replace(self, **changes):
         """A copy with some fields changed (dataclasses.replace)."""
@@ -113,38 +98,12 @@ class RunRequest:
         merged.update(dict(self.params))
         return merged
 
-    @contextlib.contextmanager
-    def kernel_backend_scope(self):
-        """Apply :attr:`kernel_backend` for the duration of a run.
-
-        Implemented over the ``REPRO_KERNEL_BACKEND`` environment
-        variable because that is the one injection point every engine
-        already consults — but scoped and restored, unlike the CLI's
-        old permanent ``os.environ`` write.  A ``None`` backend is a
-        no-op scope.
-        """
-        from ..core.adaptive import kernels
-
-        if self.kernel_backend is None:
-            yield
-            return
-        previous = os.environ.get(kernels.ENV_VAR)
-        os.environ[kernels.ENV_VAR] = self.kernel_backend
-        try:
-            yield
-        finally:
-            if previous is None:
-                os.environ.pop(kernels.ENV_VAR, None)
-            else:
-                os.environ[kernels.ENV_VAR] = previous
-
     def to_dict(self):
         """JSON-able summary (the fault plan appears as its plan key)."""
         plan = self.fault_plan
         return {
             "seed": self.seed,
             "duration_s": self.duration_s,
-            "kernel_backend": self.kernel_backend,
             "fault_plan": (None if plan is None
                            else getattr(plan, "plan_key", lambda: repr(plan))()),
             "with_obs": self.with_obs,

@@ -21,8 +21,7 @@ Three layers:
 * :mod:`~repro.serving.server` — :class:`SessionServer`: the
   lock-step scheduler.  ``batched=True`` stacks every session into
   one kernel call per block; ``batched=False`` runs the same kernel
-  per session — **bit-identical** outputs either way (the serving
-  analogue of the loop-vs-vector backend contract).
+  per session — **bit-identical** outputs either way.
 
 Crash safety (``docs/RESILIENCE.md``) adds three more:
 

@@ -1,56 +1,18 @@
-"""The global fast-path switch.
+"""Read-only report: the fast paths are the program.
 
-Every optimized hot path this package grew in the perf overhaul — the
-cached-FFT FIR engine (:mod:`repro.utils.fastconv`), the cached
-polyphase resampler (:func:`repro.wireless.fm.resample`), the in-place
-modulator/demodulator arithmetic — checks :func:`enabled` before taking
-its shortcut.  With the switch off, every call site runs the original
-(pre-overhaul) formulation, which is what ``benchmarks/bench_pipeline.py``
-uses as the honest "before" leg of its end-to-end speedup claim.
-
-Resolution order: an explicit :func:`set_enabled` / :func:`scope` wins;
-otherwise the ``REPRO_FASTPATH`` environment variable (``0`` / ``off`` /
-``false`` / ``no`` disable); otherwise **on** — the fast paths are the
-default, their ≤ 1e-10 contracts are property-tested, and the slow
-paths exist as references, not as the product.
+The cached-FFT FIR engine (:mod:`repro.utils.fastconv`), the cached
+polyphase resampler (:func:`repro.wireless.fm.resample`) and the
+in-place modulator/demodulator arithmetic are the only implementations.
+The slow formulations they replaced live in ``tests/reference`` as
+test oracles.  :func:`enabled` remains so run fingerprints can record
+the fact; it has no setter and reads no environment.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-__all__ = ["ENV_VAR", "enabled", "set_enabled", "scope"]
-
-#: Environment variable consulted when no explicit override is set.
-ENV_VAR = "REPRO_FASTPATH"
-
-_FALSY = ("0", "off", "false", "no")
-
-#: Tri-state override: None = defer to the environment.
-_override = None
+__all__ = ["enabled"]
 
 
 def enabled():
-    """Are the fast paths on?  (override → ``REPRO_FASTPATH`` → yes)."""
-    if _override is not None:
-        return _override
-    return os.environ.get(ENV_VAR, "").strip().lower() not in _FALSY
-
-
-def set_enabled(flag):
-    """Force the fast paths on/off process-wide; ``None`` re-arms the env."""
-    global _override
-    _override = None if flag is None else bool(flag)
-
-
-@contextmanager
-def scope(flag):
-    """Temporarily force the fast paths on/off (restores on exit)."""
-    global _override
-    previous = _override
-    _override = bool(flag)
-    try:
-        yield
-    finally:
-        _override = previous
+    """Always ``True``: there is no slow path to switch to."""
+    return True

@@ -16,14 +16,15 @@ Audio at ``audio_rate`` is upsampled to ``rf_rate`` for modulation and
 decimated back after demodulation.
 
 Perf note: :func:`resample` is the relay chain's hot edge — the 12x
-oversampled mod/demod path crosses it four times per relay hop.  The
-fast path caches the polyphase (Kaiser) design per reduced ``(up,
-down)`` pair, reproducing scipy's default design **bit-identically**,
-and the rate pair itself is reduced with :class:`fractions.Fraction`,
-so exact rational (including non-integer) rate pairs work.  The
+oversampled mod/demod path crosses it four times per relay hop.  It
+caches the polyphase (Kaiser) design per reduced ``(up, down)`` pair,
+reproducing scipy's default design **bit-identically**, and the rate
+pair itself is reduced with :class:`fractions.Fraction`, so exact
+rational (including non-integer) rate pairs work.  The
 modulator/demodulator avoid full-rate intermediate copies by running
-their arithmetic in place on buffers they own.  All of it is gated on
-:mod:`repro.utils.fastpath`.
+their arithmetic in place on buffers they own; the textbook
+formulations they replaced are the test oracles in
+``tests/reference/modulation.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from scipy import signal as sps
 
 from ..errors import ConfigurationError
-from ..utils import fastpath
 from ..utils.validation import check_positive, check_waveform
 
 __all__ = ["FmModulator", "FmDemodulator", "resample", "rational_ratio"]
@@ -96,8 +96,6 @@ def resample(signal, rate_in, rate_out):
     if rate_in == rate_out:
         return np.asarray(signal, dtype=np.float64).copy()
     up, down = rational_ratio(rate_in, rate_out)
-    if not fastpath.enabled():
-        return sps.resample_poly(signal, up, down)
     return sps.resample_poly(signal, up, down,
                              window=_polyphase_design(up, down))
 
@@ -139,12 +137,6 @@ class FmModulator:
         """Modulate an audio waveform to complex baseband."""
         audio = check_waveform("audio", audio)
         rf_audio = resample(audio, self.audio_rate, self.rf_rate)
-        if not fastpath.enabled():
-            phase = (
-                2.0 * np.pi * self.deviation_hz
-                * np.cumsum(rf_audio) / self.rf_rate
-            )
-            return self.amplitude * np.exp(1j * phase)
         # In place on the full-rate buffer we own: cumsum → phase →
         # cos/sin straight into the complex output's views.
         np.cumsum(rf_audio, out=rf_audio)
@@ -181,16 +173,6 @@ class FmDemodulator:
         """Recover the audio waveform from complex baseband."""
         baseband = check_waveform("baseband", baseband, min_length=2,
                                   allow_complex=True)
-        if not fastpath.enabled():
-            product = baseband[1:] * np.conj(baseband[:-1])
-            inst_freq = np.angle(product) * self.rf_rate / (2.0 * np.pi)
-            inst_freq = np.concatenate([[inst_freq[0]], inst_freq])
-            audio_rf = inst_freq / self.deviation_hz
-            audio_rf = sps.sosfiltfilt(self._sos, audio_rf)
-            audio = resample(audio_rf, self.rf_rate, self.audio_rate)
-            if self.remove_dc:
-                audio = audio - np.mean(audio)
-            return audio
         # Phase difference between consecutive samples → instantaneous
         # frequency, with one owned complex scratch instead of the
         # conj/product/angle/concatenate temporary chain.

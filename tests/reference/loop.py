@@ -1,13 +1,12 @@
-"""The ``loop`` backend: the audited per-sample reference implementation.
+"""The ``loop`` oracle: the audited per-sample reference implementation.
 
 This is the code that used to live inline in every engine's hot loop —
 extracted verbatim, one copy instead of six.  It is deliberately *not*
 clever: each entry point walks the signal one sample at a time in
 exactly the operation order the seed engines used, so its outputs are
-bit-identical to the historical implementations.  The :mod:`.vector`
-backend is validated against this one (property-tested to ≤ 1e-10); any
-future backend (numba, batched multi-scenario) earns its keep against
-the same reference.
+bit-identical to the historical implementations.  The production
+kernels (:mod:`repro.core.adaptive.kernels.vector`) are validated
+against this one (property-tested to ≤ 1e-10).
 
 Every entry point mutates the caller's tap (and auxiliary) arrays in
 place — engines keep owning their state; the kernel owns only the walk.
@@ -17,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import effective_step, guard_divergence, tap_window
+from repro.core.adaptive.base import (effective_step, guard_divergence,
+                                     tap_window)
 
 __all__ = ["fxlms_run", "fxlms_block", "lms_run", "rls_run", "apa_run",
            "multiref_run"]

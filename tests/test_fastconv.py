@@ -1,10 +1,11 @@
-"""The shared FIR engine (repro.utils.fastconv) and fastpath toggle.
+"""The shared FIR engine (repro.utils.fastconv).
 
-Property-based bit-identity suite for the conv fast paths: every
-regime of :func:`fir_apply` (direct, single-block FFT, overlap-save)
-against the ``np.convolve`` reference, and :class:`StreamingFir`
-against ``lfilter``-with-state — the contract every fast-path call
-site in acoustics/hardware/core leans on (docs/PERFORMANCE.md).
+Property-based suite for the cached-FFT convolution: every regime of
+:func:`fir_apply` (direct, single-block FFT, overlap-save) against the
+``np.convolve`` and ``fftconvolve`` references, and
+:class:`StreamingFir` against ``lfilter``-with-state — the contract
+every call site in acoustics/hardware/core leans on
+(docs/PERFORMANCE.md).
 """
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from repro.errors import ConfigurationError
-from repro.utils import fastconv, fastpath
+from repro.utils import fastconv
 from repro.utils.fastconv import DIRECT_TAP_LIMIT, StreamingFir, fir_apply
+from tests.reference import reference_signal_path
 
 TOL = 1e-10
 
@@ -82,10 +84,22 @@ class TestFirApply:
                                       np.convolve(x, h))
 
     def test_slow_path_is_fftconvolve(self):
+        """The reference swapped in at the call site is fftconvolve."""
         x, h = _signal(5, 300), _ir(5, 32)
-        with fastpath.scope(False):
-            np.testing.assert_array_equal(fir_apply(x, h, mode="full"),
-                                          sps.fftconvolve(x, h))
+        with reference_signal_path():
+            np.testing.assert_array_equal(
+                fastconv.fir_apply(x, h, mode="full"),
+                sps.fftconvolve(x, h))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=1000),
+           n=st.integers(min_value=1, max_value=12000),
+           m=st.integers(min_value=1, max_value=128))
+    def test_matches_fftconvolve(self, seed, n, m):
+        """Every regime against the ``fftconvolve`` call it replaced."""
+        x, h = _signal(seed, n), _ir(seed, m)
+        np.testing.assert_allclose(fir_apply(x, h, mode="full"),
+                                   sps.fftconvolve(x, h), atol=TOL, rtol=0)
 
     def test_complex_input_falls_back_to_direct(self):
         x = _signal(9, 200) + 1j * _signal(10, 200)
@@ -150,12 +164,13 @@ class TestStreamingFir:
     @given(seed=st.integers(min_value=0, max_value=1000),
            m=st.integers(min_value=2, max_value=64))
     def test_fast_and_slow_paths_agree(self, seed, m):
+        """The engine vs the ``lfilter`` oracle swapped in at its call
+        site (the baseline leg of ``benchmarks/bench_pipeline.py``)."""
         ir = _ir(seed, m)
         blocks = [_signal(seed + i, 160) for i in range(4)]
-        with fastpath.scope(True):
-            fir = StreamingFir(ir)
-            fast = np.concatenate([fir.process(b) for b in blocks])
-        with fastpath.scope(False):
+        fir = StreamingFir(ir)
+        fast = np.concatenate([fir.process(b) for b in blocks])
+        with reference_signal_path():
             fir = StreamingFir(ir)
             slow = np.concatenate([fir.process(b) for b in blocks])
         np.testing.assert_allclose(fast, slow, atol=TOL, rtol=0)
@@ -193,20 +208,15 @@ class TestStreamingFir:
 
 
 class TestFastpathToggle:
-    def test_scope_restores_ambient(self):
-        ambient = fastpath.enabled()
-        with fastpath.scope(not ambient):
-            assert fastpath.enabled() is (not ambient)
-            with fastpath.scope(None):      # None keeps the setting
-                assert fastpath.enabled() is (not ambient)
-        assert fastpath.enabled() is ambient
+    """The test-only swap between the engine and its scipy reference."""
 
-    def test_set_enabled_round_trip(self):
-        ambient = fastpath.enabled()
-        try:
-            fastpath.set_enabled(False)
-            assert not fastpath.enabled()
-            fastpath.set_enabled(True)
-            assert fastpath.enabled()
-        finally:
-            fastpath.set_enabled(ambient)
+    def test_scope_restores_ambient(self):
+        program_apply = fastconv.fir_apply
+        program_process = StreamingFir.process
+        with reference_signal_path():
+            assert fastconv.fir_apply is not program_apply
+            with reference_signal_path():       # nesting is harmless
+                assert StreamingFir.process is not program_process
+            assert fastconv.fir_apply is not program_apply
+        assert fastconv.fir_apply is program_apply
+        assert StreamingFir.process is program_process

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from repro.errors import ConfigurationError
 from repro.signals import Tone, WhiteNoise
 from repro.utils.units import snr_db
-from repro.wireless import FmDemodulator, FmModulator, resample
+from repro.wireless import (AmDemodulator, AmModulator, FmDemodulator,
+                            FmModulator, resample)
 from repro.wireless.fm import rational_ratio
+from tests.reference import modulation
 
 
 def _roundtrip_snr(audio, **kwargs):
@@ -56,12 +59,10 @@ class TestResample:
 
     def test_cached_window_bit_identical_to_default(self):
         x = WhiteNoise(seed=3, level_rms=0.3).generate(0.25)
-        from repro.utils import fastpath
-        with fastpath.scope(False):
-            slow = resample(x, 8000, 96000)
-        with fastpath.scope(True):
-            fast = resample(x, 8000, 96000)
-        np.testing.assert_array_equal(slow, fast)
+        np.testing.assert_array_equal(resample(x, 8000, 96000),
+                                      sps.resample_poly(x, 12, 1))
+        np.testing.assert_array_equal(resample(x, 96000, 8000),
+                                      sps.resample_poly(x, 1, 12))
 
 
 class TestFmModulator:
@@ -118,11 +119,11 @@ class TestRoundTrip:
 
 
 class TestFastSlowEquivalence:
-    """The in-place mod/demod fast paths vs the verbatim slow paths.
+    """The in-place mod/demod arithmetic vs the textbook oracles.
 
-    Each modulator/demodulator keeps its pre-overhaul arithmetic behind
-    ``fastpath.scope(False)`` (docs/PERFORMANCE.md); the in-place
-    formulations must agree to the library-wide 1e-10 envelope.
+    ``tests/reference/modulation.py`` keeps the formulations the
+    in-place arithmetic replaced (docs/PERFORMANCE.md); the two must
+    agree to the library-wide 1e-10 envelope.
     """
 
     TOL = 1e-10
@@ -130,34 +131,31 @@ class TestFastSlowEquivalence:
     def _noise(self, seed):
         return WhiteNoise(seed=seed, level_rms=0.2).generate(0.25)
 
-    def _both(self, fn):
-        from repro.utils import fastpath
-        with fastpath.scope(False):
-            slow = fn()
-        with fastpath.scope(True):
-            fast = fn()
-        return slow, fast
-
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_fm_roundtrip(self, seed):
         audio = self._noise(seed)
         mod, dem = FmModulator(), FmDemodulator()
-        slow, fast = self._both(lambda: dem.demodulate(mod.modulate(audio)))
+        slow = modulation.fm_demodulate(
+            dem, modulation.fm_modulate(mod, audio))
+        fast = dem.demodulate(mod.modulate(audio))
         np.testing.assert_allclose(fast, slow, atol=self.TOL, rtol=0)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_fm_modulate(self, seed):
         mod = FmModulator(amplitude=0.7)
-        slow, fast = self._both(lambda: mod.modulate(self._noise(seed)))
-        np.testing.assert_allclose(fast, slow, atol=self.TOL, rtol=0)
+        audio = self._noise(seed)
+        np.testing.assert_allclose(mod.modulate(audio),
+                                   modulation.fm_modulate(mod, audio),
+                                   atol=self.TOL, rtol=0)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_am_roundtrip(self, seed):
-        from repro.wireless import AmDemodulator, AmModulator
         audio = self._noise(seed)
         mod, dem = AmModulator(), AmDemodulator()
-        slow, fast = self._both(lambda: dem.demodulate(mod.modulate(audio)))
+        slow = modulation.am_demodulate(
+            dem, modulation.am_modulate(mod, audio))
+        fast = dem.demodulate(mod.modulate(audio))
         np.testing.assert_allclose(fast, slow, atol=self.TOL, rtol=0)

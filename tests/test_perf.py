@@ -77,11 +77,6 @@ class TestProfilePipeline:
         with pytest.raises(ConfigurationError):
             profile_pipeline(duration_s=0.0)
 
-    def test_fastpath_off_is_recorded(self):
-        doc = profile_pipeline(duration_s=0.1, repeats=1, warmup=0,
-                               use_fastpath=False)
-        assert doc["settings"]["fastpath"] is False
-
 
 class TestPerfProfileCli:
     ARGS = ["perf-profile", "--duration", "0.2", "--repeats", "1",
@@ -105,11 +100,6 @@ class TestPerfProfileCli:
         assert main(self.ARGS + ["--out", str(path)], out=out) == 0
         doc = json.loads(path.read_text())
         assert doc["schema"] == "repro.perf/v1"
-
-    def test_no_fastpath_flag(self):
-        out = io.StringIO()
-        assert main(self.ARGS + ["--no-fastpath", "--json"], out=out) == 0
-        assert json.loads(out.getvalue())["settings"]["fastpath"] is False
 
     def test_bad_arguments_rejected(self):
         out = io.StringIO()

@@ -363,16 +363,14 @@ class TestRunRequest:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             runtime.RunRequest(jobs=0)
-        with pytest.raises(ConfigurationError):
-            runtime.RunRequest(kernel_backend="nope")
 
     def test_request_propagates_to_parallel_workers(self):
-        """Acceptance: kernel_backend + fault_plan reach jobs=2 workers,
+        """Acceptance: seed + fault_plan reach jobs=2 workers,
         bit-identical to jobs=1."""
         from repro.faults import outage_plan
 
         base = runtime.RunRequest(
-            seed=0, duration_s=0.4, kernel_backend="vector",
+            seed=3, duration_s=0.4,
             fault_plan=outage_plan(0.4, 0.5),
             params={"sessions": 2, "block_size": 128},
         )
@@ -380,12 +378,17 @@ class TestRunRequest:
                                          request=base.replace(jobs=1))
         parallel = runtime.run_experiments(["serving"],
                                            request=base.replace(jobs=2))
+        default_seed = runtime.run_experiments(
+            ["serving"], request=base.replace(seed=None))
         assert not serial.failures() and not parallel.failures()
-        a = serial.results()["serving"].results
-        b = parallel.results()["serving"].results
-        assert a.kernel_backend == "vector" == b.kernel_backend
-        assert a.faulted_sessions == 1 == b.faulted_sessions
-        assert a.digests == b.digests
+        a = serial.results()["serving"]
+        b = parallel.results()["serving"]
+        assert a["params"]["seed"] == 3 == b["params"]["seed"]
+        assert a.results.faulted_sessions == 1 == b.results.faulted_sessions
+        assert a.results.digests == b.results.digests
+        # The seed changed the workloads: it was applied, not dropped.
+        assert (a.results.digests
+                != default_seed.results()["serving"].results.digests)
 
     def test_request_params_filtered_per_runner(self):
         """Broadcast request params only reach runners that take them."""
@@ -401,18 +404,6 @@ class TestRunRequest:
         request = runtime.RunRequest()
         with pytest.raises(ConfigurationError):
             experiments.get("timing").run(request=request, sessions=4)
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            suite = runtime.run_experiments(
-                ["timing"], jobs=1, params={"duration_s": 1.0})
-        assert not suite.failures()
-        assert suite.request.jobs == 1
-
-    def test_request_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ConfigurationError):
-            runtime.run_experiments(
-                ["timing"], request=runtime.RunRequest(), jobs=2)
 
 
 class TestReportV2:
