@@ -4,7 +4,7 @@ Besides the pytest-benchmark shim, this module is where benches pick up
 the **shared observability schema**: any bench can snapshot the metrics
 the instrumented pipeline recorded (``repro.obs.metrics/v1``) and emit
 them next to its figure table, so every ``bench_*.py`` speaks the same
-JSON dialect as ``repro obs-report``.  See ``benchmarks/README.md``.
+JSON dialect as ``repro perf-profile``.  See ``benchmarks/README.md``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from repro import obs
 # The one shared timer: every bench that reports a wall time uses the
-# same median-of-N/best-of-N measurement as the ``repro perf-profile``
-# stage harness, so numbers in BENCH_*.json and repro.perf/v1 documents
-# are directly comparable (see docs/PERFORMANCE.md).
+# same median-of-N summary (``Timing``) as the ``repro perf-profile``
+# ledger rows, so numbers in BENCH_*.json and repro.obs.report/v1
+# documents are directly comparable (see docs/PERFORMANCE.md).
 from repro.perf.timer import Timing, time_call  # noqa: F401  (re-export)
 
 

@@ -47,24 +47,18 @@ Subcommands
         python -m repro chaos-soak --json --out soak.json
 
 ``perf-profile``
-    Time the pipeline stage by stage (synthesis / channel / relay /
-    kernel / ear, plus end-to-end ``MuteSystem.run``) on the Figure 12
-    workload and print a stage table — or the ``repro.perf/v1`` JSON
-    document CI uploads (see ``docs/PERFORMANCE.md``)::
-
-        python -m repro perf-profile
-        python -m repro perf-profile --json --out profile.json
-
-``obs-report``
-    Run the headline office scenario with observability
-    (:mod:`repro.obs`) enabled and print the span tree, the metrics
-    table, and the timing-budget report — or the bundled
-    ``repro.obs.report/v1`` JSON document (schemas in
+    Trace what one Figure 12 FM job costs — relay calibration,
+    ``MuteSystem`` construction and ``run()`` — with :mod:`repro.obs`
+    enabled, ``--repeats`` times from a cold channel cache, and print
+    the span tree, the metrics table and one timing ledger (one-off
+    construction rows, then run stages priced per block against the
+    Eq. 3 deadline, each as median/best/worst) — or the
+    ``repro.obs.report/v1`` JSON document (``docs/PERFORMANCE.md``,
     ``docs/OBSERVABILITY.md``)::
 
-        python -m repro obs-report
-        python -m repro obs-report --duration 5 --block 128
-        python -m repro obs-report --json --out trace.json
+        python -m repro perf-profile
+        python -m repro perf-profile --duration 4 --repeats 3
+        python -m repro perf-profile --json --out profile.json
 
 The experiment catalog itself lives in the registry
 (:mod:`repro.eval.experiments`) — the CLI is a thin dispatcher over
@@ -168,41 +162,25 @@ def build_parser():
 
     perf = sub.add_parser(
         "perf-profile",
-        help="profile the pipeline per stage; emit repro.perf/v1 JSON",
+        help="trace the fig12 FM construct-and-run; print span tree, "
+             "metrics and timing ledger",
     )
     perf.add_argument("--duration", type=float, default=2.0,
-                      help="simulated seconds of workload (default 2.0)")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timed repeats per stage, median reported "
-                           "(default 3)")
-    perf.add_argument("--warmup", type=int, default=1,
-                      help="untimed warmup calls per stage (default 1 — "
-                           "measures the cache-warm steady state)")
+                      help="simulated seconds of audio (default 2.0)")
     perf.add_argument("--seed", type=int, default=7,
                       help="workload seed (default 7, the fig12 seed)")
+    perf.add_argument("--repeats", type=int, default=3,
+                      help="traced jobs, each from a cold channel cache; "
+                           "ledger rows give median/best/worst "
+                           "(default 3)")
+    perf.add_argument("--block", type=int, default=64,
+                      help="block size for the deadline ledger "
+                           "(default 64)")
     perf.add_argument("--json", action="store_true",
-                      help="emit the repro.perf/v1 JSON document instead "
-                           "of text")
+                      help="emit the repro.obs.report/v1 JSON document "
+                           "instead of text")
     perf.add_argument("--out", default=None, metavar="PATH",
                       help="also write the JSON document to PATH")
-
-    obs_report = sub.add_parser(
-        "obs-report",
-        help="trace a MuteSystem run; print span tree, metrics, "
-             "timing budget",
-    )
-    obs_report.add_argument("--duration", type=float, default=2.0,
-                            help="simulated seconds (default 2.0)")
-    obs_report.add_argument("--seed", type=int, default=0,
-                            help="noise seed (default 0)")
-    obs_report.add_argument("--block", type=int, default=64,
-                            help="block size for the deadline ledger "
-                                 "(default 64)")
-    obs_report.add_argument("--json", action="store_true",
-                            help="emit the repro.obs.report/v1 JSON "
-                                 "document instead of text")
-    obs_report.add_argument("--out", default=None, metavar="PATH",
-                            help="also write the JSON document to PATH")
     return parser
 
 
@@ -371,108 +349,80 @@ def _run_chaos_soak(args, out):
 
 
 def _run_perf_profile(args, out):
-    """The ``perf-profile`` subcommand: stage-level pipeline timings.
+    """The ``perf-profile`` subcommand: one traced construct-and-run.
 
-    Runs :func:`repro.perf.profile_pipeline` on the fig12 workload and
-    renders (or writes) the ``repro.perf/v1`` document — the artifact
-    the CI perf-smoke job uploads and ``docs/PERFORMANCE.md`` reads
-    from.
-    """
-    from .perf import profile_pipeline
-    from .perf.harness import render_profile
-
-    if args.duration <= 0:
-        print("perf-profile: --duration must be > 0", file=out)
-        return 2
-    if args.repeats < 1:
-        print("perf-profile: --repeats must be >= 1", file=out)
-        return 2
-    if args.warmup < 0:
-        print("perf-profile: --warmup must be >= 0", file=out)
-        return 2
-
-    doc = profile_pipeline(
-        duration_s=args.duration, repeats=args.repeats, warmup=args.warmup,
-        seed=args.seed,
-    )
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, default=str)
-        except OSError as exc:
-            print(f"perf-profile: cannot write {args.out}: {exc}", file=out)
-            return 2
-    if args.json:
-        print(json.dumps(doc, indent=2, default=str), file=out)
-        return 0
-    print(render_profile(doc), file=out)
-    if args.out:
-        print(f"[JSON perf profile written to {args.out}]", file=out)
-    return 0
-
-
-def _run_obs_report(args, out):
-    """The ``obs-report`` subcommand: one traced headline-scenario run.
-
-    Builds the paper's office scenario, enables :mod:`repro.obs` for a
-    single ``MuteSystem.run``, then renders the recorded trace, metrics,
-    and per-stage timing budget.  The previous enable/disable state and
-    any previously recorded spans/metrics are cleared so the report
-    covers exactly this run.
+    Each repeat is the benchmark's ``fig12_fm`` operation — clear the
+    channel cache, build the FM relay, construct the ``MuteSystem`` on
+    the bench scenario and run it — traced with :mod:`repro.obs` and
+    timed from outside.  Span tree, metrics and ledger all come from
+    that one trace; previously recorded spans/metrics are cleared first
+    and the enable/disable state is restored afterwards.
     """
     # Imported here: the CLI composes the library top-down, and plain
     # `repro list` should not pay for building a scenario.
-    from .core.scenario import office_scenario
     from .core.system import MuteSystem
+    from .eval.experiments.common import bench_scenario, default_config
+    from .perf import time_call
+    from .runtime.cache import get_channel_cache
     from .signals import WhiteNoise
+    from .wireless.relay import AnalogRelay
 
-    if args.duration <= 0:
-        print("obs-report: --duration must be > 0", file=out)
-        return 2
-    if args.block <= 0:
-        print("obs-report: --block must be > 0", file=out)
-        return 2
+    for flag, value in (("--duration", args.duration),
+                        ("--repeats", args.repeats),
+                        ("--block", args.block)):
+        if value <= 0:
+            print(f"perf-profile: {flag} must be > 0", file=out)
+            return 2
 
-    scenario = office_scenario()
-    noise = WhiteNoise(level_rms=0.1, seed=args.seed).generate(args.duration)
+    source = WhiteNoise(level_rms=0.1, seed=args.seed)
+    noise = source.generate(args.duration)
+
+    def job():
+        get_channel_cache().clear()
+        relay = AnalogRelay(audio_rate=source.sample_rate, seed=args.seed)
+        system = MuteSystem(bench_scenario(sample_rate=source.sample_rate),
+                            default_config(relay=relay, seed=args.seed))
+        return system, system.run(noise)
 
     obs.reset()
     with obs.enabled_scope():
-        system = MuteSystem(scenario)
-        result = system.run(noise)
+        timing = time_call(job, repeats=args.repeats)
+    system, result = timing.result
 
     tracer = obs.get_tracer()
     registry = obs.get_registry()
-    budget_report = obs.timing_budget_report(
+    ledger = obs.timing_budget_report(
         tracer, system.lookahead_budget, system.sample_rate,
         n_samples=noise.size, block_size=args.block,
+        job_walls_s=timing.times_s,
     )
 
     document = None
     if args.json or args.out:
-        document = obs.obs_report_dict(tracer, registry, budget_report)
+        document = obs.obs_report_dict(tracer, registry, ledger)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(document, fh, indent=2, default=str)
         except OSError as exc:
-            print(f"obs-report: cannot write {args.out}: {exc}", file=out)
+            print(f"perf-profile: cannot write {args.out}: {exc}", file=out)
             return 2
     if args.json:
         print(json.dumps(document, indent=2, default=str), file=out)
         return 0
 
-    print("== obs-report: traced MuteSystem.run on the office scenario ==",
+    print("== perf-profile: traced construct-and-run, fig12 FM workload ==",
           file=out)
     print(system.summary(), file=out)
-    print(f"mean cancellation {result.mean_cancellation_db():.1f} dB over "
-          f"{args.duration:.1f} s\n", file=out)
+    print(f"{args.duration:.1f} s of audio, {args.repeats} repeat(s) from a "
+          f"cold channel cache; mean cancellation "
+          f"{result.mean_cancellation_db():.1f} dB\n", file=out)
     print("--- span tree ---", file=out)
     print(tracer.render(), file=out)
     print("\n--- metrics ---", file=out)
     print(registry.render(), file=out)
-    print("\n--- timing budget ---", file=out)
-    print(budget_report.report(), file=out)
+    print("\n--- timing ledger ---", file=out)
+    print(ledger.report(), file=out)
     if args.out:
         print(f"\n[JSON report written to {args.out}]", file=out)
     return 0
@@ -499,9 +449,6 @@ def main(argv=None, out=None):
         for entry in sorted(catalog, key=lambda e: e.name):
             print(f"{entry.name.ljust(width)}  {entry.description}", file=out)
         return 0
-
-    if args.command == "obs-report":
-        return _run_obs_report(args, out)
 
     if args.command == "perf-profile":
         return _run_perf_profile(args, out)

@@ -222,24 +222,30 @@ class MuteSystem:
         Which of the scenario's relays the client uses (relay
         *selection* is exercised separately via
         :mod:`repro.core.relay_selection`).
+
+    With observability enabled, construction is traced as a
+    ``mute.construct`` span with ``mute.construct.channels`` and
+    ``mute.estimate_secondary`` children.
     """
 
     def __init__(self, scenario, config=None, relay_index=0):
         if not isinstance(scenario, Scenario):
             raise ConfigurationError("scenario must be a Scenario")
-        self.scenario = scenario
-        self.config = config or MuteConfig()
-        self.channels = scenario.build_channels()
-        if not 0 <= relay_index < len(self.channels.h_nr):
-            raise ConfigurationError(
-                f"relay_index {relay_index} out of range"
-            )
-        self.relay_index = relay_index
-        self.sample_rate = scenario.sample_rate
-        self._secondary_true = self._build_secondary_true()
-        with obs.span("mute.estimate_secondary",
-                      probe=self.config.probe_secondary):
-            self._secondary_estimate = self._estimate_secondary()
+        with obs.span("mute.construct"):
+            self.scenario = scenario
+            self.config = config or MuteConfig()
+            with obs.span("mute.construct.channels"):
+                self.channels = scenario.build_channels()
+            if not 0 <= relay_index < len(self.channels.h_nr):
+                raise ConfigurationError(
+                    f"relay_index {relay_index} out of range"
+                )
+            self.relay_index = relay_index
+            self.sample_rate = scenario.sample_rate
+            self._secondary_true = self._build_secondary_true()
+            with obs.span("mute.estimate_secondary",
+                          probe=self.config.probe_secondary):
+                self._secondary_estimate = self._estimate_secondary()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -436,7 +442,7 @@ class MuteSystem:
         Traced as a ``mute.run_resilient`` span; every mode change emits
         a ``resilience.transition`` child span and ticks
         ``resilience.transitions{from,to}``, so a mid-run outage is
-        visible in ``repro obs-report`` output.
+        visible in the recorded trace and metrics.
         """
         # Imported here: repro.faults is an extension layer on top of
         # core and must stay optional for plain runs.

@@ -27,6 +27,7 @@ import inspect
 import json
 
 from ...errors import ConfigurationError, UnknownParameterError
+from ...serving.server import REPORT_SCHEMA
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -39,11 +40,6 @@ __all__ = [
     "get",
     "register",
 ]
-
-#: Schema identifier of the ``report/v2`` envelope family.  Result and
-#: suite documents share it and are told apart by their ``kind`` field
-#: (``"result"`` vs ``"suite"`` — see ``repro.runtime.executor``).
-REPORT_SCHEMA = "repro.runtime.report/v2"
 
 
 def _jsonable_param(value):

@@ -209,7 +209,7 @@ class DegradationController:
     ``state``/``t_s``) into the active trace, ticks the
     ``resilience.transitions{from,to}`` counter, and sets the
     ``resilience.mode`` gauge (2 = mute, 1 = feedback, 0 = passive) —
-    so a mid-run outage is visible in ``repro obs-report`` output.
+    so a mid-run outage is visible in the recorded trace and metrics.
     """
 
     def __init__(self, lanc_filter, monitor=None, sample_rate=8000.0):

@@ -16,9 +16,9 @@ Three layers:
   :func:`get_tracer`, JSON + text-tree export);
 * :mod:`~repro.obs.metrics` — labeled counters/gauges/histograms
   (:func:`get_registry`);
-* :mod:`~repro.obs.profile` — maps a recorded trace onto the paper's
-  lookahead budget (:func:`timing_budget_report`), and bundles the
-  ``repro obs-report`` document (:func:`obs_report_dict`).
+* :mod:`~repro.obs.profile` — maps a recorded construct-and-run trace
+  onto the paper's lookahead budget (:func:`timing_budget_report`), and
+  bundles the ``repro perf-profile`` document (:func:`obs_report_dict`).
 
 Minimal session::
 
@@ -50,6 +50,7 @@ from .metrics import (
 )
 from .profile import (
     REPORT_SCHEMA,
+    OneOffCost,
     StageBudget,
     TimingBudgetReport,
     obs_report_dict,
@@ -67,7 +68,8 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "METRICS_SCHEMA",
     # profile
-    "StageBudget", "TimingBudgetReport", "timing_budget_report",
+    "OneOffCost", "StageBudget", "TimingBudgetReport",
+    "timing_budget_report",
     "obs_report_dict", "obs_report_json", "REPORT_SCHEMA",
 ]
 

@@ -24,12 +24,13 @@ Instrument kinds
     like misadjustment or relay SNR.
 :class:`Histogram`
     Fixed-bucket distribution (``observe``) with quantile *summaries*
-    estimated by linear interpolation inside the matching bucket.  The
-    default buckets are exponential from 1 µs to 10 s, sized for
-    latencies; pass explicit ``buckets`` for other units.
+    estimated by linear interpolation inside the matching bucket and
+    clamped to the observed range.  The default buckets are exponential
+    from 1 µs to 10 s, sized for latencies; pass explicit ``buckets``
+    for other units.
 
 Export: :meth:`MetricsRegistry.to_dict` emits the
-``repro.obs.metrics/v1`` schema shared by ``repro obs-report`` and the
+``repro.obs.metrics/v1`` schema shared by ``repro perf-profile`` and the
 benchmark suite (see ``benchmarks/README.md``);
 :meth:`MetricsRegistry.render` prints a terminal table.
 """
@@ -153,7 +154,10 @@ class Histogram:
         """Estimated ``q``-quantile (0 <= q <= 1), ``None`` when empty.
 
         Linear interpolation inside the bucket containing the target
-        rank; the overflow bucket reports the observed maximum.
+        rank; the overflow bucket reports the observed maximum.  The
+        estimate is clamped to the observed ``[min, max]``, so a single
+        observation reads back exactly and no quantile lies outside
+        what was seen.
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile q must be in [0, 1], got {q}")
@@ -170,7 +174,8 @@ class Histogram:
                 lo = self.bounds[i - 1] if i > 0 else min(self.min or 0.0, 0.0)
                 hi = self.bounds[i]
                 fraction = (target - cumulative) / n
-                return lo + fraction * (hi - lo)
+                estimate = lo + fraction * (hi - lo)
+                return min(max(estimate, self.min), self.max)
             cumulative += n
         return self.max
 

@@ -8,8 +8,8 @@ operation) and exports it two ways:
 
 * :meth:`Tracer.to_dict` / :meth:`Tracer.to_json` — the
   ``repro.obs.trace/v1`` JSON schema (documented in
-  ``docs/OBSERVABILITY.md``), consumed by ``repro obs-report`` and the
-  timing-budget profiler;
+  ``docs/OBSERVABILITY.md``), consumed by ``repro perf-profile`` and
+  the timing ledger;
 * :meth:`Tracer.render` — an indented text tree for terminals.
 
 Spans nest by runtime containment: a span opened while another is open

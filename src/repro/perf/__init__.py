@@ -1,32 +1,15 @@
-"""Profile-guided performance tooling.
+"""The shared median-of-N wall-clock timer (:mod:`repro.perf.timer`).
 
-The perf package is the measurement side of the pipeline fast paths
-(``docs/PERFORMANCE.md``):
-
-* :mod:`repro.perf.timer` — the **one** median-of-N wall-clock timer
-  shared by the stage profiler and every ``benchmarks/bench_*.py``
-  suite, so all perf artifacts report comparable numbers;
-* :mod:`repro.perf.harness` — the stage profiler behind
-  ``repro perf-profile``: it times end-to-end :meth:`MuteSystem.run`
-  and its synthesis / channel / relay / kernel / ear stages in
-  isolation, and emits a ``repro.perf/v1`` JSON document.
-
-The profile is what *justifies* each fast path: the cached-FFT
-convolution engine (:mod:`repro.utils.fastconv`), the cached polyphase
-resampler (:mod:`repro.wireless.fm`), the serving scratch arena
-(:class:`repro.core.adaptive.kernels.BatchWorkspace`), and the BLAS RLS
-update all target the stages this harness shows dominating the tick.
+:class:`Timing` summarizes repeated measurements as median, best and
+worst; :func:`time_call` produces one by timing a callable.  The
+``benchmarks/bench_*.py`` suites time with it, and the
+``repro perf-profile`` ledger (:mod:`repro.obs.profile`) summarizes
+each traced span over its repeats with it, so every perf artifact
+reports comparable numbers (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from .harness import PROFILE_SCHEMA, default_noise, profile_pipeline
 from .timer import Timing, time_call
 
-__all__ = [
-    "PROFILE_SCHEMA",
-    "Timing",
-    "default_noise",
-    "profile_pipeline",
-    "time_call",
-]
+__all__ = ["Timing", "time_call"]

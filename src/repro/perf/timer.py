@@ -1,11 +1,11 @@
 """The shared wall-clock timer behind every perf artifact.
 
-One implementation of "time a callable N times and summarize" serves
-both the stage profiler (:mod:`repro.perf.harness`) and the
+One implementation of "summarize N timed repeats" serves both the
+``repro perf-profile`` ledger (:mod:`repro.obs.profile`, which builds a
+:class:`Timing` from each span's durations over the repeats) and the
 ``benchmarks/bench_*.py`` suites, so a speedup in ``BENCH_kernels.json``
-and a stage row in a ``repro.perf/v1`` report mean the same thing:
-**median of N repeats** (robust to a single noisy run), with the best
-repeat kept alongside for the optimist's view.
+and a ledger row mean the same thing: **median of N repeats** (robust
+to a single noisy run), with the best and worst repeats kept alongside.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ class Timing:
     def best_s(self):
         """Fastest repeat (the least-interference bound)."""
         return float(min(self.times_s))
+
+    @property
+    def worst_s(self):
+        """Slowest repeat (the cold or most-interfered bound)."""
+        return float(max(self.times_s))
 
     @property
     def repeats(self):

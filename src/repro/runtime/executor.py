@@ -50,6 +50,7 @@ from concurrent import futures
 
 from .. import obs
 from ..errors import ConfigurationError
+from ..serving.server import REPORT_SCHEMA
 from .merge import (
     merge_metrics_documents,
     merge_trace_documents,
@@ -60,9 +61,8 @@ from .request import RunRequest
 __all__ = ["JobOutcome", "JobRetryPolicy", "SuiteReport", "run_experiments"]
 
 #: Schema identifier of :meth:`SuiteReport.to_dict` — the ``report/v2``
-#: envelope family (shared with ``ExperimentResult``; documents carry
-#: ``kind: "suite"`` vs ``kind: "result"``).
-SUITE_SCHEMA = "repro.runtime.report/v2"
+#: envelope family (documents carry ``kind: "suite"``).
+SUITE_SCHEMA = REPORT_SCHEMA
 
 
 @dataclasses.dataclass(frozen=True)

@@ -47,12 +47,18 @@ from .manager import SessionManager
 from .session import ACTIVE, DONE, FAILED, SessionConfig
 from .supervisor import SessionSupervisor
 
-__all__ = ["ServerConfig", "ServingReport", "SessionServer"]
+__all__ = ["REPORT_SCHEMA", "ServerConfig", "ServingReport", "SessionServer"]
+
+#: Schema identifier of the ``report/v2`` envelope family.  Serving
+#: reports, experiment results (``repro.eval``) and suites
+#: (``repro.runtime``) share it and are told apart by their ``kind``
+#: field.  It lives here, in the lowest of the three layers, so the
+#: other two import it without reaching up the dependency order.
+REPORT_SCHEMA = "repro.runtime.report/v2"
 
 #: ``kind`` discriminator of :meth:`ServingReport.to_dict` within the
 #: ``repro.runtime.report/v2`` schema family.
 SERVING_KIND = "serving"
-_REPORT_SCHEMA = "repro.runtime.report/v2"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +124,7 @@ class ServingReport:
         """JSON-able ``report/v2`` serving document (``kind: serving``)."""
         pct = self.latency_percentiles()
         return {
-            "schema": _REPORT_SCHEMA,
+            "schema": REPORT_SCHEMA,
             "kind": SERVING_KIND,
             "batched": self.batched,
             "block_size": self.block_size,

@@ -24,7 +24,7 @@ that module routes around a failing *relay*, this one keeps a failing
 Everything is counted under the ``serving.recovery.*`` obs metrics
 (crashes, restores, cold starts, checkpoints, escalations) and every
 restore emits a ``serving.recovery.restore`` span, so a chaos soak's
-recovery activity is visible in ``repro obs-report`` output.
+recovery activity is visible in its recorded trace and metrics.
 Determinism: backoff is measured in server ticks (no wall clock, no
 randomness), so supervised runs remain reproducible.
 """

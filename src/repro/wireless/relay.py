@@ -118,7 +118,8 @@ class AnalogRelay:
             channel_config or RfChannelConfig(snr_db=40.0, seed=seed),
             rf_rate=self.rf_rate,
         )
-        self.latency_samples = self._calibrate_latency()
+        with obs.span("relay.calibrate", relay="analog"):
+            self.latency_samples = self._calibrate_latency()
 
     def _chain(self, audio):
         """Mic front-end → FM → RF channel → demodulator.

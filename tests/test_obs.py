@@ -13,9 +13,14 @@ from repro.cli import main
 from repro.core.adaptive.block import BlockLancFilter
 from repro.core.adaptive.lanc import LancFilter, StreamingLanc
 from repro.core.profiles import PredictiveProfileSwitcher, ProfileClassifier
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.errors import ConfigurationError
+from repro.eval.experiments.common import bench_scenario, default_config
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.obs.trace import Tracer
+from repro.runtime.cache import get_channel_cache
 
 
 @pytest.fixture(autouse=True)
@@ -180,9 +185,32 @@ class TestMetrics:
         assert h.mean == pytest.approx(2.75)
         # p50 → rank 2 of 4 → second bucket (1, 2]: interpolated inside.
         assert 1.0 <= h.quantile(0.5) <= 2.0
-        # p100 → last populated bucket (4, 8].
-        assert 4.0 <= h.quantile(1.0) <= 8.0
+        # p100 → last populated bucket (4, 8], clamped to the max seen.
+        assert h.quantile(1.0) == 6.0
         assert h.min == 0.5 and h.max == 6.0
+
+    def test_histogram_single_observation_is_every_quantile(self):
+        h = Histogram("h", {})
+        h.observe(0.0979)
+        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
+            assert h.quantile(q) == 0.0979
+
+    def test_histogram_q1_is_max(self):
+        h = Histogram("h", {})
+        for v in (0.0012, 0.0031, 0.0047):
+            h.observe(v)
+        assert h.quantile(1.0) == h.max == 0.0047
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(min_value=-1e3, max_value=1e3,
+                                     allow_nan=False), min_size=1,
+                           max_size=40),
+           q=st.floats(min_value=0.0, max_value=1.0))
+    def test_histogram_quantile_within_observed_range(self, values, q):
+        h = Histogram("h", {}, buckets=[-10.0, 0.0, 1e-3, 1.0, 10.0])
+        for v in values:
+            h.observe(v)
+        assert h.min <= h.quantile(q) <= h.max
 
     def test_histogram_overflow_reports_observed_max(self):
         h = Histogram("h", {}, buckets=[1.0])
@@ -256,10 +284,13 @@ class _RunCapture:
     The autouse cleanup fixture wipes the global tracer/registry before
     every test, so the module-scoped fixture keeps its own references:
     a shim :class:`Tracer` holding the recorded span forest and the
-    exported metrics document.
+    exported metrics document.  ``fm_plain`` / ``fm_traced`` are the
+    ``(relay, system, result)`` of the fig12 FM job built and run with
+    observability off and on.
     """
 
-    def __init__(self, plain, traced, system, noise, roots, metrics):
+    def __init__(self, plain, traced, system, noise, roots, metrics,
+                 fm_plain, fm_traced):
         self.plain = plain
         self.traced = traced
         self.system = system
@@ -267,6 +298,8 @@ class _RunCapture:
         self.tracer = Tracer()
         self.tracer.roots = roots
         self.metrics = metrics
+        self.fm_plain = fm_plain
+        self.fm_traced = fm_traced
 
     def metric(self, name, **labels):
         labels = {k: str(v) for k, v in labels.items()}
@@ -276,9 +309,23 @@ class _RunCapture:
         raise AssertionError(f"metric {name!r} {labels} not recorded")
 
 
+def _fm_job(noise):
+    """The fig12 FM job from a cold channel cache: relay, system, run."""
+    get_channel_cache().clear()
+    relay = repro.AnalogRelay(audio_rate=8000.0, seed=7)
+    system = repro.MuteSystem(bench_scenario(),
+                              default_config(relay=relay, seed=7))
+    return relay, system, system.run(noise)
+
+
 @pytest.fixture(scope="module")
 def office_runs():
-    """One disabled and one enabled run of the same system + noise."""
+    """One disabled and one enabled run of the same system + noise.
+
+    The office scenario's trace and metrics are kept; the fig12 FM job
+    runs afterwards, off then on, for the construction bit-identity
+    check only.
+    """
     scenario = repro.office_scenario()
     noise = repro.WhiteNoise(level_rms=0.1, seed=1).generate(0.5)
     obs.disable()
@@ -291,12 +338,18 @@ def office_runs():
         traced = system.run(noise)
     finally:
         obs.disable()
-    capture = _RunCapture(plain, traced, system, noise,
-                          roots=list(obs.get_tracer().roots),
-                          metrics=obs.get_registry().to_dict())
+    roots = list(obs.get_tracer().roots)
+    metrics = obs.get_registry().to_dict()
+    fm_plain = _fm_job(noise)
+    obs.enable()
+    try:
+        fm_traced = _fm_job(noise)
+    finally:
+        obs.disable()
     obs.get_tracer().reset()
     obs.get_registry().reset()
-    return capture
+    return _RunCapture(plain, traced, system, noise, roots, metrics,
+                       fm_plain, fm_traced)
 
 
 class TestPipelineInstrumentation:
@@ -310,6 +363,15 @@ class TestPipelineInstrumentation:
                               traced.disturbance_at_ear)
         assert plain.n_future_used == traced.n_future_used
 
+    def test_enabling_does_not_change_fm_construction_bitwise(
+            self, office_runs):
+        relay0, system0, plain = office_runs.fm_plain
+        relay1, system1, traced = office_runs.fm_traced
+        assert np.array_equal(relay0.latency_samples, relay1.latency_samples)
+        assert np.array_equal(system0._secondary_estimate,
+                              system1._secondary_estimate)
+        assert np.array_equal(plain.residual, traced.residual)
+
     def test_run_trace_has_stage_children(self, office_runs):
         tracer = office_runs.tracer
         run_span = tracer.find("mute.run")
@@ -321,6 +383,12 @@ class TestPipelineInstrumentation:
             "mute.prepare.propagate", "mute.prepare.relay",
             "mute.prepare.align"]
         assert tracer.find("mute.estimate_secondary") is not None
+
+    def test_construction_trace_nests_channels_and_probe(self, office_runs):
+        construct = office_runs.tracer.roots[0]
+        assert construct.name == "mute.construct"
+        assert [c.name for c in construct.children] == [
+            "mute.construct.channels", "mute.estimate_secondary"]
 
     def test_stage_latencies_cover_end_to_end_wall_time(self, office_runs):
         system, noise = office_runs.system, office_runs.noise
@@ -367,6 +435,62 @@ class TestPipelineInstrumentation:
                                           n_samples=10, block_size=1)
         assert report.over_budget() == ["mute.adapt"]
         assert "OVER" in report.report()
+
+    @staticmethod
+    def _span(name, wall_s, *children):
+        sp = obs.Span(name, {})
+        sp.wall_s = sp.cpu_s = wall_s
+        sp.children = list(children)
+        return sp
+
+    def _three_jobs(self):
+        tracer = Tracer()
+        for scale in (1.0, 3.0, 2.0):
+            tracer.roots += [
+                self._span("relay.calibrate", 0.01 * scale),
+                self._span("mute.construct", 0.05 * scale,
+                           self._span("mute.construct.channels",
+                                      0.02 * scale)),
+                self._span("mute.run", 0.1 * scale,
+                           self._span("mute.prepare", 0.04 * scale),
+                           self._span("mute.adapt", 0.05 * scale)),
+            ]
+        return tracer
+
+    def test_ledger_summarises_jobs(self):
+        budget = repro.LookaheadBudget(acoustic_lead_s=0.01)
+        report = obs.timing_budget_report(
+            self._three_jobs(), budget, 8000.0, n_samples=800,
+            job_walls_s=[0.2, 0.6, 0.4])
+        assert [(c.stage, c.depth) for c in report.construction] == [
+            ("relay.calibrate", 0), ("mute.construct", 0),
+            ("mute.construct.channels", 1)]
+        assert [s.stage for s in report.stages] == [
+            "mute.prepare", "mute.adapt"]
+        adapt = report.stages[1]
+        assert (adapt.best_s, adapt.wall_s, adapt.worst_s) == \
+            pytest.approx((0.05, 0.1, 0.15))
+        assert adapt.repeats == 3
+        channels = report.construction[2]
+        assert (channels.best_s, channels.wall_s, channels.worst_s) == \
+            pytest.approx((0.02, 0.04, 0.06))
+        # Top-level rows: 0.01 + 0.05 + 0.04 + 0.05 of each 0.2 s unit.
+        assert report.job_coverage == pytest.approx([0.75] * 3)
+        assert report.coverage == pytest.approx(0.75)
+        assert report.total_wall_s == pytest.approx(0.4)
+        document = report.to_dict()
+        assert document["repeats"] == 3
+        assert "one-off" in report.report()
+
+    def test_ledger_without_external_wall_uses_traced_jobs(self):
+        budget = repro.LookaheadBudget(acoustic_lead_s=0.01)
+        report = obs.timing_budget_report(self._three_jobs(), budget,
+                                          8000.0, n_samples=800)
+        # (0.06 + 0.09) of the traced (0.06 + 0.1) per unit.
+        assert report.coverage == pytest.approx(0.15 / 0.16)
+        with pytest.raises(ConfigurationError):
+            obs.timing_budget_report(self._three_jobs(), budget, 8000.0,
+                                     n_samples=800, job_walls_s=[0.2])
 
     def test_obs_report_bundle(self, office_runs):
         system, noise = office_runs.system, office_runs.noise
@@ -478,22 +602,24 @@ class TestEngineHooks:
 
 
 # ---------------------------------------------------------------------------
-# The obs-report CLI (smoke: keeps the command and schema exercised)
+# The repro.obs.report/v1 document, as `repro perf-profile` emits it
 # ---------------------------------------------------------------------------
 class TestObsReportCli:
+    ARGS = ["perf-profile", "--duration", "0.5", "--repeats", "1"]
+
     def test_text_report(self):
         out = io.StringIO()
-        code = main(["obs-report", "--duration", "0.5"], out=out)
+        code = main(self.ARGS, out=out)
         assert code == 0
         text = out.getvalue()
         assert "span tree" in text
         assert "mute.run" in text
-        assert "Timing budget" in text
+        assert "Timing ledger" in text
         assert "adaptive.misadjustment" in text
 
     def test_json_report_schema(self):
         out = io.StringIO()
-        code = main(["obs-report", "--duration", "0.5", "--json"], out=out)
+        code = main(self.ARGS + ["--json"], out=out)
         assert code == 0
         document = json.loads(out.getvalue())
         assert document["schema"] == obs.REPORT_SCHEMA
@@ -509,16 +635,22 @@ class TestObsReportCli:
     def test_out_file(self, tmp_path):
         path = tmp_path / "report.json"
         out = io.StringIO()
-        code = main(["obs-report", "--duration", "0.5", "--out", str(path)],
-                    out=out)
+        code = main(self.ARGS + ["--out", str(path)], out=out)
         assert code == 0
         document = json.loads(path.read_text())
         assert document["schema"] == obs.REPORT_SCHEMA
 
     def test_bad_duration_rejected(self):
         out = io.StringIO()
-        assert main(["obs-report", "--duration", "-1"], out=out) == 2
+        assert main(["perf-profile", "--duration", "-1"], out=out) == 2
+        assert "--duration must be > 0" in out.getvalue()
+
+    def test_bad_repeats_and_block_rejected(self):
+        for flag, value in (("--repeats", "0"), ("--block", "-3")):
+            out = io.StringIO()
+            assert main(["perf-profile", flag, value], out=out) == 2
+            assert f"{flag} must be > 0" in out.getvalue()
 
     def test_leaves_observability_disabled(self):
-        main(["obs-report", "--duration", "0.5"], out=io.StringIO())
+        main(self.ARGS, out=io.StringIO())
         assert not obs.enabled()

@@ -1,15 +1,14 @@
-"""The perf toolkit: shared timer, stage profiler, perf-profile CLI."""
+"""The perf toolkit: the shared timer and the perf-profile ledger."""
 
 import io
 import json
 
-import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.perf import PROFILE_SCHEMA, Timing, profile_pipeline, time_call
-from repro.perf.harness import STAGES, render_profile
+from repro.perf import Timing, time_call
 
 
 class TestTimer:
@@ -20,6 +19,11 @@ class TestTimer:
         assert len(timing.times_s) == 3
         assert timing.best_s <= timing.median_s
         assert timing.best_s == min(timing.times_s)
+
+    def test_worst_is_slowest_repeat(self):
+        timing = Timing(result=None, times_s=(0.3, 0.1, 0.2))
+        assert (timing.best_s, timing.median_s, timing.worst_s) == \
+            (0.1, 0.2, 0.3)
 
     def test_to_dict_is_json_able(self):
         doc = time_call(lambda: None, repeats=2).to_dict()
@@ -42,66 +46,63 @@ class TestTimer:
             timing.result = 1
 
 
-class TestProfilePipeline:
-    @pytest.fixture(scope="class")
-    def doc(self):
-        return profile_pipeline(duration_s=0.25, repeats=1, warmup=0)
-
-    def test_schema_and_stage_order(self, doc):
-        assert doc["schema"] == PROFILE_SCHEMA == "repro.perf/v1"
-        assert tuple(s["stage"] for s in doc["stages"]) == STAGES
-
-    def test_stage_rows_are_timings(self, doc):
-        for s in doc["stages"]:
-            assert s["median_s"] > 0
-            assert 0.0 <= s["fraction_of_stages"] <= 1.0
-        total = sum(s["fraction_of_stages"] for s in doc["stages"])
-        assert total == pytest.approx(1.0)
-
-    def test_end_to_end_and_residual(self, doc):
-        assert doc["end_to_end"]["target"] == "MuteSystem.run"
-        assert doc["end_to_end"]["median_s"] > 0
-        assert np.isfinite(doc["residual_rms"])
-        assert doc["workload"]["samples"] == 2000   # 0.25 s at 8 kHz
-
-    def test_document_is_json_able(self, doc):
-        json.dumps(doc)
-
-    def test_render_profile(self, doc):
-        text = render_profile(doc)
-        for stage in STAGES:
-            assert stage in text
-        assert "end-to-end" in text
-
-    def test_rejects_bad_duration(self):
-        with pytest.raises(ConfigurationError):
-            profile_pipeline(duration_s=0.0)
+def _span_names(spans):
+    for sp in spans:
+        yield sp["name"]
+        yield from _span_names(sp["children"])
 
 
 class TestPerfProfileCli:
-    ARGS = ["perf-profile", "--duration", "0.2", "--repeats", "1",
-            "--warmup", "0"]
+    ARGS = ["perf-profile", "--duration", "1.0", "--repeats", "2"]
 
-    def test_json_output(self):
+    @pytest.fixture(scope="class")
+    def doc(self):
         out = io.StringIO()
         assert main(self.ARGS + ["--json"], out=out) == 0
-        doc = json.loads(out.getvalue())
-        assert doc["schema"] == "repro.perf/v1"
-        assert len(doc["stages"]) == len(STAGES)
+        return json.loads(out.getvalue())
+
+    def test_json_output(self, doc):
+        assert doc["schema"] == obs.REPORT_SCHEMA == "repro.obs.report/v1"
+        assert set(doc) == {"schema", "trace", "metrics", "budget"}
+        budget = doc["budget"]
+        assert budget["repeats"] == 2
+        for row in budget["stages"] + budget["construction"]:
+            assert row["repeats"] == 2
+            assert row["best_s"] <= row["wall_s"] <= row["worst_s"]
+
+    def test_ledger_rows_name_executed_spans(self, doc):
+        executed = set(_span_names(doc["trace"]["spans"]))
+        budget = doc["budget"]
+        construction = [row["stage"] for row in budget["construction"]]
+        stages = [row["stage"] for row in budget["stages"]]
+        assert set(construction + stages) <= executed
+        assert not {"synthesis", "ear"} & set(construction + stages)
+        assert construction == ["relay.calibrate", "mute.construct",
+                                "mute.construct.channels",
+                                "mute.estimate_secondary"]
+        assert stages == ["mute.prepare", "mute.adapt", "mute.collect"]
+        assert budget["coverage"] >= 0.95
+        assert min(budget["job_coverage"]) == budget["coverage"]
 
     def test_table_output(self):
         out = io.StringIO()
         assert main(self.ARGS, out=out) == 0
-        assert "perf profile" in out.getvalue()
+        text = out.getvalue()
+        assert "perf-profile" in text
+        assert "one-off" in text and "Timing ledger" in text
 
     def test_out_writes_document(self, tmp_path):
         path = tmp_path / "profile.json"
         out = io.StringIO()
         assert main(self.ARGS + ["--out", str(path)], out=out) == 0
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.perf/v1"
+        assert doc["schema"] == "repro.obs.report/v1"
 
     def test_bad_arguments_rejected(self):
         out = io.StringIO()
         assert main(["perf-profile", "--duration", "0"], out=out) == 2
         assert main(["perf-profile", "--repeats", "0"], out=out) == 2
+        assert main(["perf-profile", "--block", "0"], out=out) == 2
+        with pytest.raises(SystemExit) as exc:     # --warmup is gone
+            main(["perf-profile", "--warmup", "1"], out=out)
+        assert exc.value.code == 2
