@@ -10,6 +10,8 @@ JSON dialect as ``repro perf-profile``.  See ``benchmarks/README.md``.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 
 from repro import obs
@@ -46,3 +48,32 @@ def metrics_snapshot():
     pattern.
     """
     return obs.get_registry().to_dict()
+
+
+def spread(timing):
+    """A :class:`~repro.perf.timer.Timing` as median/best/worst of N."""
+    return {"median_s": timing.median_s, "best_s": timing.best_s,
+            "worst_s": timing.worst_s, "repeats": timing.repeats,
+            "times_s": list(timing.times_s)}
+
+
+def host_fingerprint():
+    """The machine and numeric stack a timing was taken on."""
+    import numpy as np
+    import scipy
+
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas = None
+    return {"cpu": cpu, "nproc": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas}

@@ -25,6 +25,9 @@ from .constants import SPEED_OF_SOUND
 from .geometry import Point, Room
 from .propagation import fractional_delay_filter, spreading_gain
 
+#: Image grids by ``max_order`` (see :func:`_image_grid`).
+_grid_cache = {}
+
 __all__ = ["RirSettings", "image_sources", "room_impulse_response", "direct_path_ir"]
 
 
@@ -43,6 +46,44 @@ class RirSettings:
         check_positive("speed_of_sound", self.speed_of_sound)
 
 
+def _image_grid(max_order):
+    """The integer image grid up to ``max_order``, cached read-only.
+
+    Returns ``(n, parity, bounces)``: image indices ``(nx, ny, nz)``,
+    parities ``(px, py, pz)`` (both ``(K, 3)`` ints) and wall-bounce
+    counts ``(K,)``, in the mirror construction's enumeration order —
+    indices over ``range(-max_order, max_order + 1)`` outermost, then
+    parities over ``(0, 1)`` — keeping only images with at most
+    ``max_order`` bounces.
+    """
+    grid = _grid_cache.get(max_order)
+    if grid is None:
+        index = range(-max_order, max_order + 1)
+        rows = np.array([n + p for n in itertools.product(index, repeat=3)
+                         for p in itertools.product((0, 1), repeat=3)])
+        n, parity = rows[:, :3], rows[:, 3:]
+        bounces = np.abs(2 * n - parity).sum(axis=1)
+        keep = bounces <= max_order
+        grid = (n[keep], parity[keep], bounces[keep])
+        for a in grid:
+            a.flags.writeable = False
+        _grid_cache[max_order] = grid
+    return grid
+
+
+def _image_positions(room, source, max_order):
+    """Validated image coordinates ``(K, 3)`` and bounce counts ``(K,)``."""
+    if not isinstance(room, Room):
+        raise ConfigurationError("room must be a Room")
+    room.require_inside("source", source)
+    max_order = check_non_negative_int("max_order", max_order)
+    n, parity, bounces = _image_grid(max_order)
+    dims = np.array([room.length, room.width, room.height])
+    src = np.array(source.as_tuple())
+    coords = 2.0 * n * dims + np.where(parity == 0, src, -src)
+    return coords, bounces
+
+
 def image_sources(room, source, max_order):
     """Yield ``(image_position, n_reflections)`` pairs up to ``max_order``.
 
@@ -50,24 +91,11 @@ def image_sources(room, source, max_order):
     parities ``(px, py, pz)``, the image coordinate along x is
     ``2 * nx * Lx + (source.x if px == 0 else -source.x)`` (likewise y, z),
     and the number of wall bounces is ``|2nx - px| + |2ny - py| + |2nz - pz|``.
+    A view over the same cached grid :func:`room_impulse_response` uses.
     """
-    if not isinstance(room, Room):
-        raise ConfigurationError("room must be a Room")
-    room.require_inside("source", source)
-    max_order = check_non_negative_int("max_order", max_order)
-    dims = (room.length, room.width, room.height)
-    src = source.as_tuple()
-    index_range = range(-max_order, max_order + 1)
-    for nx, ny, nz in itertools.product(index_range, repeat=3):
-        for px, py, pz in itertools.product((0, 1), repeat=3):
-            coords = []
-            bounces = 0
-            for n, p, L, s in zip((nx, ny, nz), (px, py, pz), dims, src):
-                coords.append(2.0 * n * L + (s if p == 0 else -s))
-                bounces += abs(2 * n - p)
-            if bounces > max_order:
-                continue
-            yield Point(*coords), bounces
+    coords, bounces = _image_positions(room, source, max_order)
+    for xyz, count in zip(coords.tolist(), bounces.tolist()):
+        yield Point(*xyz), count
 
 
 def room_impulse_response(room, source, microphone, sample_rate,
@@ -95,34 +123,41 @@ def room_impulse_response(room, source, microphone, sample_rate,
     settings = settings or RirSettings()
     sample_rate = check_positive("sample_rate", sample_rate)
     room.require_inside("microphone", microphone)
-    reflection = room.reflection_coefficient
+    coords, bounces = _image_positions(room, source, settings.max_order)
 
-    arrivals = []   # (delay_samples, amplitude)
-    max_delay = 0.0
-    for image, bounces in image_sources(room, source, settings.max_order):
-        dist = image.distance_to(microphone)
-        delay = dist / settings.speed_of_sound * sample_rate
-        amp = spreading_gain(dist) * (reflection ** bounces)
-        arrivals.append((delay, amp))
-        max_delay = max(max_delay, delay)
+    # Every image at once: distance, delay and amplitude per arrival.
+    dist = np.sqrt(np.square(coords - microphone.as_tuple()).sum(axis=1))
+    delay = dist / settings.speed_of_sound * sample_rate
+    amp = 1.0 / np.maximum(dist, 0.25)    # spreading_gain, 1 m reference
+    amp *= room.reflection_coefficient ** bounces
 
+    # Each arrival's kernel is fractional_delay_filter(frac + center):
+    # a centered windowed sinc, started `center` samples early, so the
+    # arrival lands at its exact delay without truncation bias.  The
+    # kernel has an odd tap count (even ``sinc_taps`` grow by one), and
+    # a fractional part that rounds up to the next sample shifts it by
+    # one tap, as the scalar filter's zero prefix does.
     center = settings.sinc_taps // 2
-    length = int(np.ceil(max_delay)) + settings.sinc_taps + 1
-    ir = np.zeros(length)
-    for delay, amp in arrivals:
-        base = int(np.floor(delay))
-        frac = delay - base
-        # Use a *centered* fractional-delay kernel (group delay
-        # center+frac) and start it `center` samples early, so each
-        # arrival lands at its exact delay without truncation bias.
-        taps = fractional_delay_filter(frac + center,
-                                       n_taps=settings.sinc_taps)
-        start = base - center
-        if start < 0:
-            taps = taps[-start:]
-            start = 0
-        end = min(start + taps.size, length)
-        ir[start:end] += amp * taps[: end - start]
+    n_taps = settings.sinc_taps | 1
+    base = np.floor(delay)
+    lag = (delay - base) + center
+    whole = np.floor(lag)
+    offset = np.arange(n_taps) - (center + (lag - whole))[:, None]
+    half_width = center + 1.0
+    window = np.where(np.abs(offset) <= half_width,
+                      0.5 * (1.0 + np.cos(np.pi * offset / half_width)),
+                      0.0)
+    kernel = np.sinc(offset) * window
+    kernel /= kernel.sum(axis=1)[:, None]   # unit DC gain
+    kernel *= amp[:, None]
+
+    # Scatter every kernel into the IR with one bincount: rows in
+    # arrival order, so each tap accumulates in the loop's order.
+    length = int(np.ceil(delay.max())) + settings.sinc_taps + 1
+    start = (base - center + (whole - center)).astype(np.intp)
+    index = start[:, None] + np.arange(n_taps)
+    inside = (index >= 0) & (index < length)
+    ir = np.bincount(index[inside], weights=kernel[inside], minlength=length)
 
     if normalize:
         peak = np.max(np.abs(ir))

@@ -338,7 +338,7 @@ class MuteSystem:
                 reference = np.zeros_like(forwarded)
                 if lead < forwarded.size:
                     reference[lead:] = forwarded[: forwarded.size - lead]
-
+            with obs.span("mute.prepare.ear"):
                 d_ear = (cfg.earcup.apply(d_open)
                          if cfg.earcup is not None else d_open)
 

@@ -52,7 +52,7 @@ __all__ = [
 
 #: Bumped whenever the key derivation *or* the channel computation
 #: changes meaning; stale disk entries from older versions simply miss.
-CHANNEL_KEY_VERSION = 1
+CHANNEL_KEY_VERSION = 2
 
 #: On-disk entry layout version (independent of the key version).
 DISK_FORMAT_VERSION = 1

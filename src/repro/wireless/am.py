@@ -13,7 +13,7 @@ from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from ..utils.validation import check_in_range, check_positive, check_waveform
-from .fm import resample
+from .fm import butter_sos, resample
 
 __all__ = ["AmModulator", "AmDemodulator"]
 
@@ -65,9 +65,7 @@ class AmDemodulator:
             "modulation_index", modulation_index
         )
         cutoff = min(self.audio_rate / 2.0, self.rf_rate / 2.0 * 0.9)
-        self._sos = sps.butter(
-            6, cutoff / (self.rf_rate / 2.0), btype="lowpass", output="sos"
-        )
+        self._sos = butter_sos(6, cutoff / (self.rf_rate / 2.0))
 
     def demodulate(self, baseband):
         """Recover audio from the AM envelope."""

@@ -16,14 +16,14 @@ Audio at ``audio_rate`` is upsampled to ``rf_rate`` for modulation and
 decimated back after demodulation.
 
 Perf note: :func:`resample` is the relay chain's hot edge — the 12x
-oversampled mod/demod path crosses it four times per relay hop.  It
-caches the polyphase (Kaiser) design per reduced ``(up, down)`` pair,
-reproducing scipy's default design **bit-identically**, and the rate
-pair itself is reduced with :class:`fractions.Fraction`, so exact
-rational (including non-integer) rate pairs work.  The
-modulator/demodulator avoid full-rate intermediate copies by running
-their arithmetic in place on buffers they own; the textbook
-formulations they replaced are the test oracles in
+oversampled mod/demod path crosses it twice per relay hop.  It runs
+scipy's default polyphase (Kaiser) design, cached per reduced
+``(up, down)`` pair, as BLAS matrix products, and the rate pair itself
+is reduced with :class:`fractions.Fraction`, so exact rational
+(including non-integer) rate pairs work.  The modulator/demodulator
+avoid full-rate intermediate copies by running their arithmetic in
+place on buffers they own; the textbook formulations they replaced
+(and ``resample_poly`` itself) are the test oracles in
 ``tests/reference/modulation.py``.
 """
 
@@ -33,9 +33,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import signal as sps
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SignalError
 from ..utils.validation import check_positive, check_waveform
 
 __all__ = ["FmModulator", "FmDemodulator", "resample", "rational_ratio"]
@@ -47,6 +48,12 @@ MAX_RATIO_DENOMINATOR = 1 << 20
 
 #: Cached polyphase designs, keyed by the reduced ``(up, down)`` pair.
 _design_cache = {}
+
+#: Cached Butterworth designs, keyed by ``(order, cutoff, btype)``.
+_sos_cache = {}
+
+#: Elements per resampler temporary (slab, window chunk, partial sum).
+_CHUNK = 1 << 16
 
 
 def rational_ratio(rate_in, rate_out):
@@ -71,33 +78,142 @@ def rational_ratio(rate_in, rate_out):
 
 
 def _polyphase_design(up, down):
-    """scipy's default ``resample_poly`` Kaiser window for ``(up, down)``.
+    """scipy's default ``resample_poly`` Kaiser design for ``(up, down)``.
 
-    Reproduces the design ``resample_poly`` would build internally —
-    passing it back via ``window=`` is bit-identical to the default
-    path (scipy copies and scales it by ``up`` itself) — but built
-    once and cached, instead of redesigned on every call.
+    The ``firwin`` low-pass ``resample_poly`` would build internally
+    (cutoff ``1 / max(up, down)``, ``10 * max(up, down)`` taps per side,
+    Kaiser β = 5), already scaled by ``up``; built once per reduced
+    pair, cached read-only.
     """
     key = (up, down)
-    window = _design_cache.get(key)
-    if window is None:
+    h = _design_cache.get(key)
+    if h is None:
         max_rate = max(up, down)
         half_len = 10 * max_rate
-        window = sps.firwin(2 * half_len + 1, 1.0 / max_rate,
+        h = up * sps.firwin(2 * half_len + 1, 1.0 / max_rate,
                             window=("kaiser", 5.0))
-        _design_cache[key] = window
-    return window
+        h.flags.writeable = False
+        _design_cache[key] = h
+    return h
+
+
+def butter_sos(order, cutoff, btype="lowpass"):
+    """Butterworth second-order sections, designed once per key.
+
+    ``cutoff`` is normalized to Nyquist, as for ``scipy.signal.butter``.
+    The cached design is read-only; each caller gets its own copy
+    (scipy's ``sosfilt`` needs a writeable one), which costs far less
+    than the design.
+    """
+    key = (order, cutoff, btype)
+    sos = _sos_cache.get(key)
+    if sos is None:
+        sos = sps.butter(order, cutoff, btype=btype, output="sos")
+        sos.flags.writeable = False
+        _sos_cache[key] = sos
+    return sos.copy()
+
+
+def _phase_slabs(h, up, down):
+    """Yield ``(v0, first, slab)`` for each block of output phases.
+
+    Output phase ``v = i mod up`` of row ``r = i // up`` reads
+    ``ceil(taps / up)`` consecutive inputs; a block of phases
+    ``v0 .. v0 + cw`` reads the union, inputs ``r * down + first + j``
+    for ``j < slab.shape[0]``, and output ``(r, v)`` is that input row
+    times ``slab[:, v - v0]``.  Blocks are as wide as :data:`_CHUNK`
+    allows (one block for small pairs); they are built on demand, so
+    a large coprime pair never holds more than one.
+    """
+    taps, half = h.size, h.size // 2
+    per_phase = -(-taps // up)
+    width = up
+    while width > 1 and (per_phase + 1 + width * down // up) * width > _CHUNK:
+        width = (width + 1) // 2
+    for v0 in range(0, up, width):
+        centre = np.arange(v0, min(v0 + width, up)) * down + half
+        first = int(centre[0]) // up - per_phase + 1
+        rows = int(centre[-1]) // up + 1 - first
+        index = centre[None, :] - (first + np.arange(rows))[:, None] * up
+        valid = (index >= 0) & (index < taps)
+        yield v0, first, np.where(valid, h[np.where(valid, index, 0)], 0.0)
+
+
+def _span(x, lo, hi):
+    """``x[lo:hi]``, zero outside ``x``: a view unless it runs off an end."""
+    if lo >= 0 and hi <= x.size:
+        return x[lo:hi]
+    out = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, x.size)
+    if a < b:
+        out[a - lo:b - lo] = x[a:b]
+    return out
 
 
 def resample(signal, rate_in, rate_out):
-    """Polyphase resampling between exact-rational-ratio rates."""
+    """Polyphase resampling between exact-rational-ratio rates.
+
+    Equal to ``scipy.signal.resample_poly`` with its default design
+    (to rounding): output ``i`` is ``sum_q x[q] h[i * down + half - q
+    * up]``.  Output phase ``v = i mod up`` is an inner product of
+    ``ceil(taps / up)`` input samples with a fixed column of ``h``, so
+    a block of phases is a matrix product with a slab of ``h``:
+
+    * ``up > down`` (interpolation): a sliding window of the input,
+      one row per output row, times the slab;
+    * otherwise (decimation): the input cut into rows of ``down``
+      samples, times the slab's ``down``-row bands side by side; output
+      row ``r`` sums band ``b``'s product with input row ``r + b``.
+
+    Both run a chunk of output rows at a time, so no temporary exceeds
+    :data:`_CHUNK` elements.
+    """
     rate_in = check_positive("rate_in", rate_in)
     rate_out = check_positive("rate_out", rate_out)
+    x = np.ascontiguousarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise SignalError(f"signal must be 1-D, got shape {x.shape}")
     if rate_in == rate_out:
-        return np.asarray(signal, dtype=np.float64).copy()
+        return x.copy()
     up, down = rational_ratio(rate_in, rate_out)
-    return sps.resample_poly(signal, up, down,
-                             window=_polyphase_design(up, down))
+    if up == down:
+        return x.copy()
+    n_out = -(-x.size * up // down)
+    h = _polyphase_design(up, down)
+    rows_out = -(-n_out // up)
+    out = np.empty(rows_out * up)
+    grid = out.reshape(rows_out, up)
+    for v0, first, slab in _phase_slabs(h, up, down):
+        width, cw = slab.shape
+        cols = slice(v0, v0 + cw)
+        if up > down:
+            step = max(1, _CHUNK // width)
+            for r0 in range(0, rows_out, step):
+                r1 = min(r0 + step, rows_out)
+                span = _span(x, first + r0 * down,
+                             first + (r1 - 1) * down + width)
+                windows = as_strided(
+                    span, shape=(r1 - r0, width),
+                    strides=(down * span.itemsize, span.itemsize))
+                np.matmul(windows, slab, out=grid[r0:r1, cols])
+            continue
+        bands = -(-width // down)
+        stacked = np.zeros((bands * down, cw))
+        stacked[:width] = slab
+        stacked = stacked.reshape(bands, down, cw).transpose(1, 0, 2) \
+            .reshape(down, bands * cw)
+        step = max(1, _CHUNK // (bands * cw))
+        for r0 in range(0, rows_out, step):
+            r1 = min(r0 + step, rows_out)
+            rows = _span(x, first + r0 * down,
+                         first + (r1 + bands - 1) * down).reshape(-1, down)
+            partial = rows @ stacked
+            shifted = as_strided(
+                partial, shape=(r1 - r0, cw, bands),
+                strides=(partial.strides[0], partial.strides[1],
+                         partial.strides[0] + cw * partial.itemsize))
+            shifted.sum(axis=2, out=grid[r0:r1, cols])
+    return out[:n_out]
 
 
 class FmModulator:
@@ -165,9 +281,7 @@ class FmDemodulator:
         self.deviation_hz = check_positive("deviation_hz", deviation_hz)
         self.remove_dc = bool(remove_dc)
         cutoff = min(self.audio_rate / 2.0, self.rf_rate / 2.0 * 0.9)
-        self._sos = sps.butter(
-            6, cutoff / (self.rf_rate / 2.0), btype="lowpass", output="sos"
-        )
+        self._sos = butter_sos(6, cutoff / (self.rf_rate / 2.0))
 
     def demodulate(self, baseband):
         """Recover the audio waveform from complex baseband."""

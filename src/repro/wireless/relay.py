@@ -24,7 +24,7 @@ from scipy import signal as sps
 from .. import obs
 from ..errors import ConfigurationError
 from ..utils.validation import check_non_negative, check_positive, check_waveform
-from .fm import FmDemodulator, FmModulator
+from .fm import FmDemodulator, FmModulator, butter_sos
 from .rf_channel import RfChannel, RfChannelConfig
 
 __all__ = ["AnalogRelay", "IdealRelay"]
@@ -97,15 +97,14 @@ class AnalogRelay:
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.mic_noise_rms = check_non_negative("mic_noise_rms", mic_noise_rms)
         self.seed = seed
-        cutoff = lpf_cutoff_hz or self.audio_rate / 2.0 * 0.95
+        cutoff = (self.audio_rate / 2.0 * 0.95 if lpf_cutoff_hz is None
+                  else lpf_cutoff_hz)
         if not 0 < cutoff <= self.audio_rate / 2.0:
             raise ConfigurationError(
                 f"lpf_cutoff_hz must be in (0, {self.audio_rate / 2}], "
                 f"got {cutoff}"
             )
-        self._front_sos = sps.butter(
-            4, cutoff / (self.audio_rate / 2.0), btype="lowpass", output="sos"
-        )
+        self._front_sos = butter_sos(4, cutoff / (self.audio_rate / 2.0))
         self.modulator = FmModulator(
             audio_rate=self.audio_rate, rf_rate=self.rf_rate,
             deviation_hz=deviation_hz,
@@ -124,26 +123,32 @@ class AnalogRelay:
     def _chain(self, audio):
         """Mic front-end → FM → RF channel → demodulator.
 
-        With observability enabled, demodulator time lands in the
+        Each stage runs in its own span (``relay.modulate``,
+        ``relay.channel``, ``relay.demodulate``) under the caller's
+        ``relay.forward`` or ``relay.calibrate``.  With observability
+        enabled, demodulator time also lands in the
         ``relay.demod_s{relay=analog}`` histogram — the dominant
         receive-side cost of the chain.
         """
-        shaped = sps.sosfilt(self._front_sos, audio)
-        if self.mic_noise_rms > 0.0:
-            rng = np.random.default_rng(self.seed + 1)
-            shaped = shaped + self.mic_noise_rms * rng.standard_normal(
-                shaped.size
-            )
-        baseband = self.modulator.modulate(shaped)
-        impaired = self.channel.apply(baseband)
-        if obs.enabled():
-            t_start = time.perf_counter()
-            demodulated = self.demodulator.demodulate(impaired)
-            obs.get_registry().histogram("relay.demod_s",
-                                         relay="analog").observe(
-                time.perf_counter() - t_start)
-            return demodulated
-        return self.demodulator.demodulate(impaired)
+        with obs.span("relay.modulate", relay="analog"):
+            shaped = sps.sosfilt(self._front_sos, audio)
+            if self.mic_noise_rms > 0.0:
+                rng = np.random.default_rng(self.seed + 1)
+                shaped += self.mic_noise_rms * rng.standard_normal(
+                    shaped.size)
+            baseband = self.modulator.modulate(shaped)
+        with obs.span("relay.channel", relay="analog"):
+            impaired = self.channel.apply(baseband)
+        del baseband
+        with obs.span("relay.demodulate", relay="analog"):
+            if obs.enabled():
+                t_start = time.perf_counter()
+                demodulated = self.demodulator.demodulate(impaired)
+                obs.get_registry().histogram("relay.demod_s",
+                                             relay="analog").observe(
+                    time.perf_counter() - t_start)
+                return demodulated
+            return self.demodulator.demodulate(impaired)
 
     def _calibrate_latency(self):
         """Measure the fixed chain group delay with a chirp probe.

@@ -24,6 +24,24 @@ from ..utils.validation import check_waveform
 
 __all__ = ["RfChannelConfig", "RfChannel", "pa_nonlinearity"]
 
+#: Noise samples drawn per scratch fill in :meth:`RfChannel.apply`.
+_NOISE_CHUNK = 1 << 16
+
+
+def _pa_scale(baseband, backoff_db):
+    """Per-sample real gain of the tanh PA, or ``None`` for a silent block."""
+    envelope = np.abs(baseband)
+    rms = np.sqrt(np.mean(envelope ** 2))
+    if rms == 0.0:
+        return None
+    saturation = rms * db_to_amplitude(backoff_db)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(
+            envelope > 0,
+            saturation * np.tanh(envelope / saturation) / envelope,
+            1.0,
+        )
+
 
 def pa_nonlinearity(baseband, backoff_db=3.0):
     """Soft-saturating power amplifier: tanh applied to the envelope.
@@ -35,17 +53,9 @@ def pa_nonlinearity(baseband, backoff_db=3.0):
     """
     baseband = check_waveform("baseband", baseband, allow_complex=True,
                               min_length=1)
-    rms = np.sqrt(np.mean(np.abs(baseband) ** 2))
-    if rms == 0.0:
+    scale = _pa_scale(baseband, backoff_db)
+    if scale is None:
         return baseband.copy()
-    saturation = rms * db_to_amplitude(backoff_db)
-    envelope = np.abs(baseband)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(
-            envelope > 0,
-            saturation * np.tanh(envelope / saturation) / envelope,
-            1.0,
-        )
     return baseband * scale
 
 
@@ -78,29 +88,49 @@ class RfChannel:
         self.rf_rate = float(rf_rate)
 
     def apply(self, baseband):
-        """Pass a complex-baseband block through the channel."""
+        """Pass a complex-baseband block through the channel.
+
+        Every impairment works in place on one complex copy of the
+        input.  The noise is drawn in chunks into one real scratch
+        buffer — the real parts' normals, then the imaginary parts' —
+        which is the same stream, so the same realization, as two
+        whole-block draws.
+        """
         baseband = check_waveform("baseband", baseband, allow_complex=True,
                                   min_length=1)
         cfg = self.config
         out = baseband.astype(np.complex128, copy=True)
 
         if cfg.pa_backoff_db is not None:
-            out = pa_nonlinearity(out, cfg.pa_backoff_db)
+            scale = _pa_scale(out, cfg.pa_backoff_db)
+            if scale is not None:
+                out *= scale
 
+        # numpy's complex multiply is not bitwise commutative (it fuses
+        # multiply-adds), and for large blocks it already evaluates
+        # ``out * <temporary>`` in place, into the temporary with the
+        # operands swapped.  So the gain and CFO products stay written
+        # as ``out = out * x``, which fixes their rounding.
         flat = db_to_amplitude(cfg.gain_db) * np.exp(1j * cfg.phase_rad)
-        out = out * flat
+        if flat != 1.0:
+            out = out * flat
 
         if cfg.cfo_hz != 0.0:
             t = np.arange(out.size) / self.rf_rate
             out = out * np.exp(2j * np.pi * cfg.cfo_hz * t)
 
-        signal_power = np.mean(np.abs(out) ** 2)
+        power = np.abs(out)
+        signal_power = np.mean(np.square(power, out=power))
+        del power
         if np.isfinite(cfg.snr_db) and signal_power > 0:
             noise_power = signal_power / (10.0 ** (cfg.snr_db / 10.0))
+            sigma = np.sqrt(noise_power / 2.0)
             rng = np.random.default_rng(cfg.seed)
-            noise = (
-                rng.standard_normal(out.size)
-                + 1j * rng.standard_normal(out.size)
-            ) * np.sqrt(noise_power / 2.0)
-            out = out + noise
+            scratch = np.empty(min(out.size, _NOISE_CHUNK))
+            for part in (out.real, out.imag):
+                for lo in range(0, out.size, scratch.size):
+                    draw = scratch[:out.size - lo]
+                    rng.standard_normal(out=draw)
+                    draw *= sigma
+                    part[lo:lo + draw.size] += draw
         return out

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.signals import Tone
@@ -15,6 +17,7 @@ from repro.wireless import (
     RfChannelConfig,
     pa_nonlinearity,
 )
+from tests.reference import modulation
 
 
 def _fit_and_snr(reference, recovered, margin=400):
@@ -108,3 +111,45 @@ class TestRfChannel:
     def test_rejects_bad_backoff(self):
         with pytest.raises(ConfigurationError):
             RfChannelConfig(pa_backoff_db=0.0)
+
+
+class TestRfChannelAgainstOracle:
+    """In-place ``RfChannel.apply`` vs the out-of-place textbook chain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([1, 2, 3, 17, 1000, 65535, 65537, 70000]),
+           real_input=st.booleans(),
+           level=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+           snr_db=st.sampled_from([float("inf"), -5.0, 0.0, 25.0, 40.5]),
+           cfo_hz=st.sampled_from([0.0, 123.4, -3000.0]),
+           gain_db=st.sampled_from([0.0, -3.0, 6.2]),
+           phase_rad=st.sampled_from([0.0, 1.1]),
+           pa_backoff_db=st.sampled_from([None, 1.0, 3.0]),
+           rf_rate=st.sampled_from([48000.0, 96000.0]),
+           seed=st.integers(min_value=0, max_value=1000))
+    def test_bit_identical(self, size, real_input, level, snr_db, cfo_hz,
+                           gain_db, phase_rad, pa_backoff_db, rf_rate, seed):
+        rng = np.random.default_rng(seed)
+        bb = level * rng.standard_normal(size)
+        if not real_input:
+            bb = bb + 1j * level * rng.standard_normal(size)
+        channel = RfChannel(RfChannelConfig(
+            snr_db=snr_db, cfo_hz=cfo_hz, gain_db=gain_db,
+            phase_rad=phase_rad, pa_backoff_db=pa_backoff_db, seed=seed),
+            rf_rate=rf_rate)
+        assert np.array_equal(channel.apply(bb),
+                              modulation.rf_channel_apply(channel, bb))
+
+    def test_pa_nonlinearity_bit_identical(self):
+        rng = np.random.default_rng(5)
+        bb = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        for backoff_db in (1.0, 3.0):
+            assert np.array_equal(
+                pa_nonlinearity(bb, backoff_db),
+                modulation.pa_nonlinearity(bb, backoff_db))
+
+    def test_input_is_not_modified(self):
+        bb = np.exp(1j * np.linspace(0.0, 9.0, 300))
+        before = bb.copy()
+        RfChannel(RfChannelConfig(cfo_hz=50.0, pa_backoff_db=2.0)).apply(bb)
+        assert np.array_equal(bb, before)

@@ -11,7 +11,7 @@ from repro.signals import Tone, WhiteNoise
 from repro.utils.units import snr_db
 from repro.wireless import (AmDemodulator, AmModulator, FmDemodulator,
                             FmModulator, resample)
-from repro.wireless.fm import rational_ratio
+from repro.wireless.fm import _polyphase_design, butter_sos, rational_ratio
 from tests.reference import modulation
 
 
@@ -58,11 +58,59 @@ class TestResample:
         assert rational_ratio(44100, 8000) == (80, 441)
 
     def test_cached_window_bit_identical_to_default(self):
+        # The cached design is exactly the one resample_poly builds by
+        # default (scipy scales a passed window by `up` itself).
         x = WhiteNoise(seed=3, level_rms=0.3).generate(0.25)
-        np.testing.assert_array_equal(resample(x, 8000, 96000),
-                                      sps.resample_poly(x, 12, 1))
-        np.testing.assert_array_equal(resample(x, 96000, 8000),
-                                      sps.resample_poly(x, 1, 12))
+        for up, down in ((12, 1), (1, 12), (80, 441)):
+            window = _polyphase_design(up, down) / up
+            np.testing.assert_array_equal(
+                sps.resample_poly(x, up, down, window=window),
+                sps.resample_poly(x, up, down))
+
+    def test_design_cache_is_read_only(self):
+        assert not _polyphase_design(12, 1).flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(min_value=0, max_value=3000),
+           rates=st.sampled_from([
+               (8000, 96000), (96000, 8000), (8000, 48000), (48000, 8000),
+               (44100, 96000), (96000, 44100), (44100, 8000),
+               (8000, 44100), (44100, 48000), (48000, 44100), (2, 3),
+               (3, 2), (7, 5), (5, 7), (8000.5, 16001), (16001, 8000.5),
+               (8000.5, 12000), (12000, 8000.5)]),
+           seed=st.integers(min_value=0, max_value=1000))
+    def test_matches_oracle(self, size, rates, seed):
+        # Every exact-rational pair, integer or not, up or down, and
+        # lengths from empty to several filter spans.
+        x = np.random.default_rng(seed).standard_normal(size)
+        got = resample(x, *rates)
+        want = modulation.resample(x, *rates)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
+
+    def test_large_coprime_pair_matches_oracle(self):
+        # 8000.5 -> 96000 is 192000/16001: the phases are split into
+        # several slabs.
+        x = np.random.default_rng(4).standard_normal(300)
+        np.testing.assert_allclose(resample(x, 8000.5, 96000),
+                                   modulation.resample(x, 8000.5, 96000),
+                                   atol=1e-10, rtol=0)
+
+
+class TestButterSos:
+    def test_bit_identical_to_scipy_design(self):
+        for order, cutoff, btype in ((4, 0.95, "lowpass"),
+                                     (6, 1.0 / 12.0, "lowpass"),
+                                     (4, 0.1, "highpass")):
+            np.testing.assert_array_equal(
+                butter_sos(order, cutoff, btype),
+                sps.butter(order, cutoff, btype=btype, output="sos"))
+
+    def test_callers_get_private_writeable_copies(self):
+        a, b = butter_sos(4, 0.5), butter_sos(4, 0.5)
+        assert a is not b and a.flags.writeable
+        a[0, 0] = 123.0
+        assert butter_sos(4, 0.5)[0, 0] != 123.0
 
 
 class TestFmModulator:

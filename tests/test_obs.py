@@ -381,7 +381,7 @@ class TestPipelineInstrumentation:
         prepare = run_span.children[0]
         assert [c.name for c in prepare.children] == [
             "mute.prepare.propagate", "mute.prepare.relay",
-            "mute.prepare.align"]
+            "mute.prepare.align", "mute.prepare.ear"]
         assert tracer.find("mute.estimate_secondary") is not None
 
     def test_construction_trace_nests_channels_and_probe(self, office_runs):
@@ -599,6 +599,20 @@ class TestEngineHooks:
         assert reg.histogram("relay.demod_s", relay="analog").count >= 1
         snr = reg.gauge("relay.audio_snr_db", relay="analog")
         assert snr.writes == 1 and snr.value > 0.0
+
+    def test_analog_relay_stage_spans(self):
+        audio = repro.WhiteNoise(level_rms=0.1, seed=2).generate(0.25)
+        plain = repro.AnalogRelay(audio_rate=8000.0, rf_rate=48000.0)
+        expected = plain.forward(audio)
+        obs.enable()
+        relay = repro.AnalogRelay(audio_rate=8000.0, rf_rate=48000.0)
+        traced = relay.forward(audio)
+        obs.disable()
+        stages = ["relay.modulate", "relay.channel", "relay.demodulate"]
+        tracer = obs.get_tracer()
+        for parent in ("relay.calibrate", "relay.forward"):
+            assert [c.name for c in tracer.find(parent).children] == stages
+        assert np.array_equal(traced, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,9 @@ class TestPerfProfileCli:
         stages = [row["stage"] for row in budget["stages"]]
         assert set(construction + stages) <= executed
         assert not {"synthesis", "ear"} & set(construction + stages)
-        assert construction == ["relay.calibrate", "mute.construct",
+        assert construction == ["relay.calibrate", "relay.modulate",
+                                "relay.channel", "relay.demodulate",
+                                "mute.construct",
                                 "mute.construct.channels",
                                 "mute.estimate_secondary"]
         assert stages == ["mute.prepare", "mute.adapt", "mute.collect"]

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.signals import MaleVoice, WhiteNoise
 from repro.wireless import (
     AnalogRelay,
@@ -13,6 +16,7 @@ from repro.wireless import (
     received_snr_db,
     thermal_noise_dbm,
 )
+from tests.reference import reference_signal_path
 
 
 class TestIdealRelay:
@@ -74,6 +78,42 @@ class TestAnalogRelay:
         margin = 200
         np.testing.assert_allclose(b[margin:-margin], 2 * a[margin:-margin],
                                    atol=5e-3)
+
+    def test_zero_cutoff_rejected(self):
+        # 0 Hz is an explicit (invalid) cutoff, not "use the default".
+        with pytest.raises(ConfigurationError):
+            AnalogRelay(lpf_cutoff_hz=0.0)
+        with pytest.raises(ConfigurationError):
+            AnalogRelay(lpf_cutoff_hz=-100.0)
+
+
+class TestAnalogRelayAgainstOracles:
+    """``forward`` vs the same relay built and run on the oracle chain
+    (``resample_poly``, textbook FM, out-of-place RF channel)."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seconds=st.sampled_from([0.05, 0.3, 1.0]),
+           cfo_hz=st.sampled_from([0.0, 1500.0]),
+           pa_backoff_db=st.sampled_from([None, 2.0]),
+           rf_rate=st.sampled_from([48000.0, 96000.0]),
+           seed=st.integers(min_value=0, max_value=100))
+    def test_forward_matches_oracle_chain(self, seconds, cfo_hz,
+                                          pa_backoff_db, rf_rate, seed):
+        audio = WhiteNoise(seed=seed, level_rms=0.2).generate(seconds)
+
+        def forwarded():
+            relay = AnalogRelay(
+                rf_rate=rf_rate, seed=seed,
+                channel_config=RfChannelConfig(
+                    snr_db=30.0, cfo_hz=cfo_hz,
+                    pa_backoff_db=pa_backoff_db, seed=seed))
+            return relay.latency_samples, relay.forward(audio)
+
+        lag, got = forwarded()
+        with reference_signal_path():
+            oracle_lag, want = forwarded()
+        assert abs(lag - oracle_lag) <= 1e-10
+        np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 
 
 class TestLinkBudget:

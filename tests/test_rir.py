@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.acoustics import (
     Point,
@@ -13,6 +15,7 @@ from repro.acoustics import (
 from repro.acoustics.constants import SPEED_OF_SOUND
 from repro.acoustics.rir import RirSettings
 from repro.errors import ConfigurationError
+from tests.reference import rir as reference
 
 FS = 8000.0
 ROOM = Room(5.0, 4.0, 3.0, absorption=0.4)
@@ -117,3 +120,66 @@ class TestRirSettings:
     def test_rejects_tiny_sinc(self):
         with pytest.raises(ConfigurationError):
             RirSettings(sinc_taps=1)
+
+
+@st.composite
+def _scenes(draw):
+    """A random shoebox room with a source and a microphone inside it."""
+    dims = [draw(st.floats(1.0, 12.0)) for __ in range(3)]
+    room = Room(*dims, absorption=draw(st.floats(0.0, 0.95)))
+
+    def inside():
+        return Point(*(draw(st.floats(0.0, 1.0)) * d for d in dims))
+
+    return room, inside(), inside()
+
+
+class TestAgainstLoopOracle:
+    """The array program vs the per-image loop in ``tests/reference``."""
+
+    TOL = 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=_scenes(), max_order=st.integers(0, 4),
+           sinc_taps=st.integers(3, 40),
+           sample_rate=st.sampled_from([8000.0, 16000.0, 44100.0, 3000.5]))
+    def test_rir_matches_oracle(self, scene, max_order, sinc_taps,
+                                sample_rate):
+        room, source, mic = scene
+        rir_settings = RirSettings(max_order=max_order, sinc_taps=sinc_taps)
+        got = room_impulse_response(room, source, mic, sample_rate,
+                                    settings=rir_settings)
+        want = reference.room_impulse_response(room, source, mic,
+                                               sample_rate,
+                                               settings=rir_settings)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=self.TOL, rtol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(scene=_scenes(), max_order=st.integers(0, 4))
+    def test_image_sources_match_oracle(self, scene, max_order):
+        room, source, __ = scene
+        got = [(p.as_tuple(), b)
+               for p, b in image_sources(room, source, max_order)]
+        want = [(p.as_tuple(), b)
+                for p, b in reference.image_sources(room, source, max_order)]
+        assert got == want
+
+    @pytest.mark.parametrize("sinc_taps", [4, 31, 32])
+    def test_truncated_head_and_normalize(self, sinc_taps):
+        # Source and microphone 2 cm apart: the direct kernel starts
+        # before index 0 and is cut, as in the loop formulation.
+        mic = Point(1.02, 1.0, 1.5)
+        rir_settings = RirSettings(max_order=2, sinc_taps=sinc_taps)
+        for normalize in (False, True):
+            got = room_impulse_response(ROOM, SRC, mic, FS,
+                                        settings=rir_settings,
+                                        normalize=normalize)
+            want = reference.room_impulse_response(
+                ROOM, SRC, mic, FS, settings=rir_settings,
+                normalize=normalize)
+            np.testing.assert_allclose(got, want, atol=self.TOL, rtol=0)
+
+    def test_source_outside_rejected(self):
+        with pytest.raises(ConfigurationError):
+            room_impulse_response(ROOM, Point(9, 9, 9), MIC, FS)
