@@ -7,9 +7,11 @@ image-source RIR builder, GCC-PHAT, and the FM chain.
 ``test_kernel_backend_sweep`` times every adaptation engine on the
 program's kernels (``vector``) and on the per-sample ``loop`` oracle
 from ``tests/reference`` swapped in at the engines' call sites (see
-``docs/KERNELS.md``), and writes the speedup table to
-``BENCH_kernels.json``; the LANC row must clear the 3x contract and the
-RLS row the 2x contract.
+``docs/KERNELS.md``), and writes the table — median/best/worst of N
+per backend, the best-of-N speedup, and the host fingerprint — to
+``BENCH_kernels.json``; every engine must match its oracle to ≤ 1e-10,
+the LANC row must clear the 3x contract and the RLS row the 2x
+contract.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from _bench_utils import time_call, write_bench_json
+from _bench_utils import host_fingerprint, spread, time_call, write_bench_json
 from repro.acoustics import Point, Room, room_impulse_response
 from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         MultiRefLancFilter, RlsFilter, StreamingLanc,
@@ -33,6 +35,9 @@ LANC_SPEEDUP_FLOOR = 3.0
 #: And on the RLS walk, whose kernel rides BLAS ``dsymv`` / ``dsyr``
 #: symmetric rank-1 updates (see docs/PERFORMANCE.md).
 RLS_SPEEDUP_FLOOR = 2.0
+
+#: Timed repeats per engine and backend.
+REPEATS = 3
 
 #: ``backend`` name -> the context its engines run in.
 _KERNELS = {"loop": reference_kernels, "vector": contextlib.nullcontext}
@@ -73,7 +78,7 @@ def _sweep_workloads(x, d, s):
     def streaming():
         f = LancFilter(n_future=64, n_past=512, secondary_path=s, mu=0.1)
         st = StreamingLanc(f)
-        st.feed(np.concatenate([x, np.zeros(f.n_future)]))
+        st.close(x)
         out = [st.process(d[i:i + 160]) for i in range(0, d.size, 160)]
         return np.concatenate(out)
 
@@ -107,34 +112,40 @@ def test_kernel_backend_sweep(white_second, report):
         outputs = {}
         for backend, kernels in _KERNELS.items():
             with kernels():
-                timing = time_call(run, repeats=3)
+                timing = time_call(run, repeats=REPEATS)
             outputs[backend] = timing.result
-            timings[backend] = timing.best_s
+            timings[backend] = timing
         max_dev = float(np.max(np.abs(outputs["vector"] - outputs["loop"])))
         rows.append({
             "engine": name,
-            "loop_s": timings["loop"],
-            "vector_s": timings["vector"],
-            "speedup": timings["loop"] / timings["vector"],
+            "loop": spread(timings["loop"]),
+            "vector": spread(timings["vector"]),
+            "speedup": timings["loop"].best_s / timings["vector"].best_s,
             "max_abs_deviation": max_dev,
         })
         assert max_dev <= 1e-10, f"{name}: kernel and oracle disagree " \
             f"({max_dev})"
 
     path = write_bench_json("kernels", {
-        "schema": "repro.bench.kernels/v1",
+        "schema": "repro.bench.kernels/v2",
+        "host": host_fingerprint(),
         "workload": "1 s of white noise at 8 kHz",
-        "loop": "tests/reference/loop.py oracle",
-        "vector": "repro.core.adaptive.kernels (the program)",
+        "backends": {
+            "loop": "tests/reference/loop.py oracle",
+            "vector": "repro.core.adaptive.kernels (the program)",
+        },
+        "speedup": "best-of-N loop / best-of-N vector",
         "lanc_speedup_floor": LANC_SPEEDUP_FLOOR,
         "rls_speedup_floor": RLS_SPEEDUP_FLOOR,
         "rows": rows,
     })
 
-    lines = [f"{'engine':<14} {'loop':>9} {'vector':>9} {'speedup':>8}"]
+    lines = [f"{'engine':<14} {'loop (median)':>14} {'vector (median)':>16} "
+             f"{'speedup':>8}"]
     for row in rows:
-        lines.append(f"{row['engine']:<14} {row['loop_s']:>8.3f}s "
-                     f"{row['vector_s']:>8.3f}s {row['speedup']:>7.2f}x")
+        lines.append(f"{row['engine']:<14} {row['loop']['median_s']:>13.3f}s "
+                     f"{row['vector']['median_s']:>15.3f}s "
+                     f"{row['speedup']:>7.2f}x")
     report("\n".join(lines) + f"\n[written to {path}]")
 
     by_engine = {row["engine"]: row for row in rows}

@@ -10,8 +10,9 @@ so ``k = -n_future`` multiplies the most futuristic sample
 ``x(t + n_future)``.  Internally taps are stored oldest-*future*-first:
 ``taps[0] ↔ k = -n_future`` ... ``taps[-1] ↔ k = n_past - 1``, which
 matches the oldest-first window returned by
-:meth:`repro.utils.buffers.LookaheadBuffer.window` *reversed* — see
-:func:`tap_window` for the exact pairing used throughout.
+:meth:`repro.utils.buffers.LookaheadBuffer.window` *reversed*: the
+kernels read forward (oldest-first) windows of
+``KernelState._segment`` against the reversed taps.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ import numpy as np
 
 from ... import obs
 from ...errors import ConvergenceError
-from ...utils.validation import (
-    check_non_negative,
-    check_non_negative_int,
-    check_positive,
-    check_positive_int,
-    check_waveform,
-)
+from ...utils.validation import check_non_negative_int, check_positive_int
 
-__all__ = ["TapVector", "AdaptationResult", "padded_reference",
-           "tap_window", "record_run_metrics", "record_block_metrics"]
+__all__ = ["TapVector", "AdaptationResult", "record_run_metrics",
+           "record_block_metrics"]
 
 #: Error magnitude beyond which a filter is declared divergent.
 DIVERGENCE_LIMIT = 1e6
@@ -103,32 +98,6 @@ class AdaptationResult:
         return float(np.sqrt(np.mean(np.square(tail))))
 
 
-def padded_reference(x, n_future, n_past):
-    """Pad ``x`` so every window ``x[t-n_past+1 .. t+n_future]`` exists.
-
-    Returns ``(padded, offset)`` where sample ``x[t]`` lives at
-    ``padded[t + offset]``.
-    """
-    x = check_waveform("x", x)
-    n_future = check_non_negative_int("n_future", n_future)
-    n_past = check_positive_int("n_past", n_past)
-    padded = np.concatenate([
-        np.zeros(n_past - 1), x, np.zeros(n_future)
-    ])
-    return padded, n_past - 1
-
-
-def tap_window(padded, offset, t, n_future, n_past):
-    """Window aligned with the tap vector: index 0 ↔ ``x(t + n_future)``.
-
-    ``y(t) = taps · window`` with taps stored future-first, because
-    ``taps[i] ↔ k = i - n_future`` multiplies ``x(t - k) = x(t + n_future - i)``.
-    """
-    start = t + offset - (n_past - 1)
-    stop = t + offset + n_future + 1
-    return padded[start:stop][::-1]
-
-
 def mse_curve(error, window=256):
     """Sliding mean-square error (the convergence plots' y-axis)."""
     error = np.asarray(error, dtype=np.float64)
@@ -148,9 +117,11 @@ def guard_divergence(error_sample, context):
 
 
 def effective_step(mu, window, normalized, epsilon=1e-8):
-    """Step size, optionally normalized by instantaneous window power."""
-    mu = check_positive("mu", mu)
-    check_non_negative("epsilon", epsilon)
+    """Step size, optionally normalized by instantaneous window power.
+
+    Runs per sample, so it does not validate: every engine checks
+    ``mu`` once, at construction.
+    """
     if not normalized:
         return mu
     power = float(np.dot(window, window))

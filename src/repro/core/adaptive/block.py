@@ -36,6 +36,7 @@ from ...utils.validation import (
     check_same_length,
     check_waveform,
 )
+from . import kernels
 from .base import AdaptationResult, mse_curve, record_run_metrics
 
 __all__ = ["BlockLancFilter"]
@@ -110,10 +111,10 @@ class BlockLancFilter:
         B = self.block_size
         N, L = self.n_future, self.n_past
 
-        # Filtered reference (x' = s_hat * x), padded like the reference.
-        xf = np.convolve(x, self.secondary_path)[:T]
-        xp = np.concatenate([np.zeros(L - 1), x, np.zeros(N)])
-        xfp = np.concatenate([np.zeros(L - 1), xf, np.zeros(N)])
+        # Reference and filtered reference (x' = s_hat * x) in the
+        # kernels' shared state, closed with the N zeros past the end.
+        state = kernels.KernelState(N, L, self.secondary_path)
+        state.close(x)
 
         errors = np.empty(T)
         outputs = np.empty(T)
@@ -132,9 +133,9 @@ class BlockLancFilter:
                 block_start = time.perf_counter()
             stop = min(start + B, T)
             n = stop - start
-            # Reference slice covering taps k ∈ [-N, L) for this block:
+            # Reference slices covering taps k ∈ [-N, L) for this block:
             # acoustic times [start - L + 1, stop - 1 + N].
-            seg = xp[start: stop + L - 1 + N]
+            seg, segf = state._segment(start - L + 1, stop + N)
             kernel = self._kernel()
             y = np.convolve(seg, kernel, mode="valid")[:n]
             outputs[start:stop] = y
@@ -151,7 +152,6 @@ class BlockLancFilter:
                     "BlockLancFilter diverged — reduce mu or block_size"
                 )
             # Accumulated gradient: grad[k] = sum_t e(t) xf(t-k).
-            segf = xfp[start: stop + L - 1 + N]
             grad = np.correlate(segf, e, mode="valid")[: self.n_taps][::-1]
             power = float(np.dot(segf, segf)) / max(segf.size, 1) \
                 * self.n_taps

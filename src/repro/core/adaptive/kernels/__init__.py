@@ -4,13 +4,13 @@ The engines in :mod:`repro.core.adaptive` own configuration, validation
 and observability; the *inner loops* all live here, behind a small API:
 
 * :class:`KernelState` — reference / filtered-reference history in the
-  paper's tap convention ``k ∈ [-n_future, n_past - 1]`` (batch and
-  streaming construction modes);
-* :func:`fxlms_run` / :func:`fxlms_block` — two-sided FxLMS over a
-  batch state / one streaming block, with ``adapt`` and ``active``
-  flags;
-* :func:`fxlms_block_batch` — one lock-step block across many
-  streaming states (the serving runtime's kernel);
+  paper's tap convention ``k ∈ [-n_future, n_past - 1]``, fed with
+  ``extend`` and ended with ``close``;
+* :func:`fxlms_block` — the one two-sided FxLMS walk, over one block
+  of a state, with ``adapt``/``active`` flags and a per-sample
+  ``adapt_mask``; a whole-signal run is a single block;
+* :func:`fxlms_block_batch` — one lock-step block across many states
+  (the serving runtime's kernel);
 * :func:`lms_run` / :func:`rls_run` / :func:`apa_run` /
   :func:`multiref_run` — the causal-baseline and multi-reference
   walks.
@@ -29,14 +29,13 @@ import numpy as np
 from ....errors import ConfigurationError
 from . import vector
 from .state import KernelState
-from .vector import apa_run, fxlms_run, lms_run, multiref_run, rls_run
+from .vector import apa_run, lms_run, multiref_run, rls_run
 from .workspace import BatchWorkspace
 
 __all__ = [
     "KernelState",
     "BatchWorkspace",
     "resolve_backend_name",
-    "fxlms_run",
     "fxlms_block",
     "fxlms_block_batch",
     "lms_run",
@@ -58,11 +57,12 @@ def resolve_backend_name(name=None):
 # ----------------------------------------------------------------------
 # Validating entry points; the rest are the vector functions themselves.
 # ----------------------------------------------------------------------
-def fxlms_block(state, taps, d, mu, **kwargs):
-    """One streaming FxLMS block; returns the error block.
+def fxlms_block(state, taps, d, mu, adapt_mask=None, **kwargs):
+    """One FxLMS block; returns ``(errors, outputs)``.
 
     Processing sample ``t`` needs the aligned reference up to
-    ``t + n_future``; an underrun is rejected before any state moves.
+    ``t + n_future``; an underrun (or an ``adapt_mask`` that is not one
+    flag per sample) is rejected before any state moves.
     """
     needed = state.time + d.size + state.n_future
     if state.x.size < needed:
@@ -70,11 +70,14 @@ def fxlms_block(state, taps, d, mu, **kwargs):
             f"reference underrun: need {needed} fed samples, "
             f"have {state.x.size}"
         )
-    return vector.fxlms_block(state, taps, d, mu, **kwargs)
+    if adapt_mask is not None and np.shape(adapt_mask) != d.shape:
+        raise ConfigurationError("adapt_mask must match the signal length")
+    return vector.fxlms_block(state, taps, d, mu, adapt_mask=adapt_mask,
+                              **kwargs)
 
 
 def fxlms_block_batch(states, taps, d, mu, **kwargs):
-    """One lock-step FxLMS block across a batch of streaming states.
+    """One lock-step FxLMS block across a batch of kernel states.
 
     The cross-session kernel behind :mod:`repro.serving`; returns
     ``(errors, diverged)`` — see :func:`vector.fxlms_block_batch`.
@@ -87,10 +90,6 @@ def fxlms_block_batch(states, taps, d, mu, **kwargs):
         raise ConfigurationError("fxlms_block_batch needs >= 1 state")
     st0 = states[0]
     for st in states:
-        if st.mode != "streaming":
-            raise ConfigurationError(
-                "fxlms_block_batch needs streaming KernelStates"
-            )
         if (st.n_future, st.n_past) != (st0.n_future, st0.n_past) \
                 or st.secondary_true.size != st0.secondary_true.size:
             raise ConfigurationError(

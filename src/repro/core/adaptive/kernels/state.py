@@ -8,24 +8,16 @@ geometry in the paper's convention ``k ∈ [-n_future, n_past - 1]``
 ``x(t + n_future)``).  The *algorithm* half — how that state is
 walked — lives in :mod:`.vector`.
 
-Two construction modes mirror the two ways the engines consume signals:
-
-* :meth:`KernelState.batch` — the whole aligned reference is known up
-  front (``LancFilter.run`` and friends).  The filtered reference is one
-  ``np.convolve`` and both arrays are pre-padded so every window
-  ``x[t - n_past + 1 .. t + n_future]`` exists (exactly the seed
-  :func:`repro.core.adaptive.base.padded_reference` layout, so the
-  per-sample reference oracle indexes it exactly as the historical
-  engines did).
-* :meth:`KernelState.streaming` — samples arrive in blocks
-  (``StreamingLanc``).  :meth:`extend` maintains the filtered reference
-  incrementally with :func:`scipy.signal.lfilter` state, and
-  :attr:`time` / :attr:`y_recent` carry the processed-sample clock and
-  the anti-noise still ringing through the secondary path between
-  blocks.
-
-Both modes expose the same window accessors, so kernels are written
-once against the ``k``-convention and do not care which mode fed them.
+There is one kind of state, fed the way the ear device receives the
+relay's stream: :meth:`KernelState.extend` appends newly arrived
+reference samples (maintaining ``xf`` incrementally with
+:func:`scipy.signal.lfilter` state), :attr:`time` / :attr:`y_recent`
+carry the processed-sample clock and the anti-noise still ringing
+through the secondary path between blocks, and :meth:`close` marks the
+end of a known signal with the ``n_future`` trailing zeros its last
+windows read.  A whole-signal run is therefore ``close(x)`` on a fresh
+state plus one block — bit-identical to processing the same state in
+any partition of blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from ....utils.validation import (
     check_positive_int,
     check_waveform,
 )
-from ..base import padded_reference
 
 __all__ = ["KernelState"]
 
@@ -47,10 +38,7 @@ __all__ = ["KernelState"]
 class KernelState:
     """Signal state for a two-sided (lookahead-aware) FxLMS kernel.
 
-    Use the :meth:`batch` / :meth:`streaming` constructors; the bare
-    ``__init__`` is an implementation detail.
-
-    Attributes
+    Parameters
     ----------
     n_future / n_past:
         Tap geometry: ``k ∈ [-n_future, n_past - 1]``.
@@ -58,24 +46,23 @@ class KernelState:
         ``ŝ`` — the filter's model of the speaker→error-mic path, used
         to build the filtered reference.
     secondary_true:
-        ``s`` — the physical path the anti-noise actually rings through.
+        ``s`` — the physical path the anti-noise actually rings
+        through; defaults to ``secondary_estimate``.
+
+    Attributes
+    ----------
     x / xf:
-        Raw aligned reference and filtered reference (unpadded,
-        error-mic time base).
-    xp / off / xfp / offf:
-        Batch mode only: zero-padded arrays and offsets from
-        :func:`repro.core.adaptive.base.padded_reference` (sample
-        ``x[t]`` lives at ``xp[t + off]``).
+        Aligned reference delivered so far and its filtered-reference
+        companion (error-mic time base; sample ``t`` at index ``t``).
     y_recent:
         Anti-noise output history, newest first — what is still ringing
-        through ``secondary_true``.  Persisted across blocks in
-        streaming mode; batch runs start from silence.
+        through ``secondary_true``.  Starts from silence.
     time:
-        Streaming mode: number of error-mic samples processed so far.
+        Number of error-mic samples processed so far.
     """
 
     def __init__(self, n_future, n_past, secondary_estimate,
-                 secondary_true, mode):
+                 secondary_true=None):
         self.n_future = check_non_negative_int("n_future", n_future)
         self.n_past = check_positive_int("n_past", n_past)
         self.secondary_estimate = check_impulse_response(
@@ -85,13 +72,9 @@ class KernelState:
             self.secondary_estimate if secondary_true is None
             else check_impulse_response("secondary_true", secondary_true)
         )
-        if mode not in ("batch", "streaming"):
-            raise ConfigurationError(f"unknown KernelState mode {mode!r}")
-        self.mode = mode
         self.n_taps = self.n_future + self.n_past
         self.x = np.zeros(0)
         self.xf = np.zeros(0)
-        self.xp = self.off = self.xfp = self.offf = None
         self.y_recent = np.zeros(self.secondary_true.size)
         self.time = 0
         # scipy.signal.lfilter carry for the incremental filtered-x.
@@ -101,51 +84,15 @@ class KernelState:
         )
 
     # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def batch(cls, reference, n_future, n_past, secondary_estimate,
-              secondary_true=None):
-        """State over a fully-known aligned reference.
-
-        Precomputes the filtered reference (``np.convolve``, truncated
-        to the signal length) and the padded layouts the historical
-        per-sample loop indexed.
-        """
-        state = cls(n_future, n_past, secondary_estimate, secondary_true,
-                    mode="batch")
-        x = check_waveform("reference", reference)
-        T = x.size
-        x_filtered = np.convolve(x, state.secondary_estimate)[:T]
-        state.x = x
-        state.xf = x_filtered
-        state.xp, state.off = padded_reference(x, state.n_future,
-                                               state.n_past)
-        state.xfp, state.offf = padded_reference(x_filtered, state.n_future,
-                                                 state.n_past)
-        return state
-
-    @classmethod
-    def streaming(cls, n_future, n_past, secondary_estimate,
-                  secondary_true=None):
-        """Empty state to be fed incrementally via :meth:`extend`."""
-        return cls(n_future, n_past, secondary_estimate, secondary_true,
-                   mode="streaming")
-
-    # ------------------------------------------------------------------
-    # Streaming maintenance
+    # Feeding
     # ------------------------------------------------------------------
     def extend(self, reference_block):
         """Append newly arrived aligned-reference samples.
 
         Maintains ``xf = ŝ * x`` incrementally (filter state carried in
-        ``lfilter`` initial conditions), exactly as the seed
-        ``StreamingLanc.feed`` did.
+        ``lfilter`` initial conditions), so ``xf`` matches the
+        whole-signal convolution up to rounding at the block seams.
         """
-        if self.mode != "streaming":
-            raise ConfigurationError(
-                "extend() is only valid on a streaming KernelState"
-            )
         block = check_waveform("reference_block", reference_block,
                                min_length=1)
         from scipy import signal as sps
@@ -158,6 +105,27 @@ class KernelState:
             filtered = self.secondary_estimate[0] * block
         self.x = np.concatenate([self.x, block])
         self.xf = np.concatenate([self.xf, filtered])
+
+    def close(self, last_block=None):
+        """Mark the end of a known signal: append ``n_future`` zeros.
+
+        The last ``n_future`` samples' anti-causal taps read past the
+        signal's end; the relay delivers silence there.  ``xf`` keeps
+        the ``ŝ`` ring-out of the last real samples — the filtered
+        reference of the zero-extended signal the taps actually read.
+        ``last_block``, if given, is fed first, in the same
+        :meth:`extend` call as the zeros: ``close(x)`` on a fresh state
+        is how a whole known signal is fed (``lfilter``'s carry is not
+        bit-exact across calls, so the two spellings differ by rounding
+        in the ring-out).  Call once, as the last feed.
+        """
+        block = np.zeros(self.n_future)
+        if last_block is not None:
+            block = np.concatenate(
+                [check_waveform("last_block", last_block, min_length=0),
+                 block])
+        if block.size:
+            self.extend(block)
 
     def fed(self):
         """Number of reference samples delivered so far."""
@@ -192,14 +160,8 @@ class KernelState:
 
         The state must have been constructed with the same geometry
         (``n_future``/``n_past``) and secondary paths as the snapshot's
-        origin; only the mutable signal state is replaced.  Batch-mode
-        states are rejected — their arrays are construction inputs, not
-        evolving state.
+        origin; only the mutable signal state is replaced.
         """
-        if self.mode != "streaming":
-            raise ConfigurationError(
-                "restore() is only valid on a streaming KernelState"
-            )
         y_recent = np.asarray(snapshot["y_recent"], dtype=np.float64)
         if y_recent.shape != self.y_recent.shape:
             raise ConfigurationError(
@@ -225,27 +187,30 @@ class KernelState:
         return self.x[start: start + int(n_samples)].copy()
 
     # ------------------------------------------------------------------
-    # Window accessors (the paper's k-convention)
+    # The window layout (the paper's k-convention)
     # ------------------------------------------------------------------
-    def window(self, t):
-        """Reference window at time ``t``, future-first.
+    def _segment(self, lo, hi, out=None):
+        """``(x, xf)`` over samples ``[lo, hi)``, zeros before sample 0.
 
-        ``window[i] = x(t + n_future - i)`` so ``y(t) = taps · window``
-        with taps stored future-first (``taps[i] ↔ k = i - n_future``).
-        Valid in batch mode for any ``t`` in range; primarily a
-        documentation/testing helper — the kernel uses faster layouts.
+        The one owner of the left-zero-padded layout every kernel reads:
+        the segment for samples ``[t0, t1)`` is
+        ``_segment(t0 - (n_past - 1), t1 + n_future)``, and its forward
+        (oldest-first) sliding windows of ``n_taps`` are the reversed
+        tap windows ``x(t + n_future - i)`` of each ``t``.  ``hi`` must
+        not exceed :meth:`fed`.  Without ``out`` the result may be a
+        view of the state; with ``out`` (two length ``hi - lo`` arrays)
+        it is written there and nothing is allocated.
         """
-        return self._window_from(self.xp, self.off, t)
-
-    def filtered_window(self, t):
-        """Filtered-reference window at time ``t``, future-first."""
-        return self._window_from(self.xfp, self.offf, t)
-
-    def _window_from(self, padded, offset, t):
-        if self.mode != "batch":
-            raise ConfigurationError(
-                "window accessors need a batch KernelState"
-            )
-        start = t + offset - (self.n_past - 1)
-        stop = t + offset + self.n_future + 1
-        return padded[start:stop][::-1]
+        head = max(-lo, 0)
+        seg = self.x[lo + head: hi]
+        segf = self.xf[lo + head: hi]
+        if out is None:
+            if not head:
+                return seg, segf
+            out = (np.zeros(hi - lo), np.zeros(hi - lo))
+        else:
+            out[0][:head] = 0.0
+            out[1][:head] = 0.0
+        out[0][head:] = seg
+        out[1][head:] = segf
+        return out

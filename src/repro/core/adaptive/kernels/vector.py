@@ -4,7 +4,8 @@ Same math as the audited per-sample formulation (kept as the test
 oracle ``tests/reference/loop.py``), restructured for throughput:
 
 * windows come from :func:`numpy.lib.stride_tricks.sliding_window_view`
-  over the padded reference — zero copies, zero per-sample slicing
+  over the state's left-zero-padded reference segment
+  (``KernelState._segment``) — zero per-sample slicing
   logic (taps are kept in *forward* (oldest-first) order locally so the
   window rows need no per-sample reversal);
 * everything that does not depend on the adapting taps is precomputed
@@ -40,8 +41,8 @@ from scipy.linalg.blas import daxpy, ddot, dsymv, dsyr
 
 from ..base import DIVERGENCE_LIMIT, guard_divergence
 
-__all__ = ["fxlms_run", "fxlms_block", "fxlms_block_batch", "lms_run",
-           "rls_run", "apa_run", "multiref_run", "GUARD_INTERVAL"]
+__all__ = ["fxlms_block", "fxlms_block_batch", "lms_run", "rls_run",
+           "apa_run", "multiref_run", "GUARD_INTERVAL"]
 
 #: Samples between divergence checks in the sequential paths.
 GUARD_INTERVAL = 256
@@ -73,66 +74,24 @@ def _ringing(opad, s_rev):
     return sliding_window_view(opad, s_rev.size) @ s_rev
 
 
-def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-              active=True, adapt_mask=None, context="LancFilter"):
-    """Batch two-sided FxLMS (oracle: ``loop.fxlms_run``)."""
-    T = d.size
-    n_taps = state.n_taps
-    s_true = state.secondary_true
-    s_len = s_true.size
-
-    if not active:
-        return d.copy(), np.zeros(T)
-
-    W = sliding_window_view(state.xp, n_taps)      # row t = forward window
-    s_rev = np.ascontiguousarray(s_true[::-1])
-    taps_fwd = np.ascontiguousarray(taps[::-1])
-
-    if not adapt:
-        # Frozen taps: pure filtering, no loop at all.
-        outputs = W @ taps_fwd
-        opad = np.concatenate([np.zeros(s_len - 1), outputs])
-        errors = d + _ringing(opad, s_rev)
-        _guard_block(errors, 0, T, context)
-        return errors, outputs
-
-    Wf = sliding_window_view(state.xfp, n_taps)
-    steps = _steps(Wf, mu, normalized)
-    mask = None if adapt_mask is None else np.asarray(adapt_mask,
-                                                      dtype=bool)
-
-    opad = np.zeros(T + s_len - 1)
-    o_view = sliding_window_view(opad, s_len)      # reads reflect writes
-    errors = np.empty(T)
-    d_list = d.tolist()                            # python floats: the hot
-    step_list = steps.tolist()                     # loop dodges np scalars
-    mask_list = None if mask is None else mask.tolist()
-    decay = 1.0 - leak
-    guard_at = GUARD_INTERVAL
-    with np.errstate(all="ignore"):
-        for t in range(T):
-            y = ddot(W[t], taps_fwd)
-            opad[t + s_len - 1] = y
-            e = d_list[t] + ddot(o_view[t], s_rev)
-            errors[t] = e
-            if mask_list is None or mask_list[t]:
-                if leak:
-                    taps_fwd *= decay
-                daxpy(Wf[t], taps_fwd, a=-(step_list[t] * e))
-            if t + 1 == guard_at:
-                _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
-                             context)
-                guard_at += GUARD_INTERVAL
-    _guard_block(errors, guard_at - GUARD_INTERVAL, T, context)
-    taps[:] = taps_fwd[::-1]
-    return errors, opad[s_len - 1:].copy()
+def _advance(state, opad, B):
+    """Move the clock and the in-flight anti-noise past a block."""
+    s_len = state.secondary_true.size
+    state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
+    state.time += B
 
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-                active=True, context="StreamingLanc"):
-    """One streaming FxLMS block (oracle: ``loop.fxlms_block``)."""
+                active=True, adapt_mask=None, context="StreamingLanc"):
+    """One FxLMS block (oracle: ``loop.fxlms_block``).
+
+    Returns ``(errors, outputs)``; advances ``state.time`` and
+    ``state.y_recent`` and adapts ``taps`` in place.  A whole-signal
+    run is one block over a closed state.  ``adapt_mask`` (optional,
+    one flag per sample) restricts adaptation to where it is true.
+    """
     B = d.size
-    n_future, n_past, n_taps = state.n_future, state.n_past, state.n_taps
+    n_taps = state.n_taps
     s_true = state.secondary_true
     s_len = s_true.size
     time = state.time
@@ -147,37 +106,31 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
     if not active:
         # Muted speaker: only the in-flight anti-noise rings out.
         errors = d + _ringing(opad, s_rev)
-        state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
-        state.time += B
-        return errors
+        _advance(state, opad, B)
+        return errors, np.zeros(B)
 
-    # Reference segment covering every window of the block, zero-padded
-    # on the left exactly like the oracle's early-sample windows.
-    lo0 = time - (n_past - 1)
-    seg = state.x[max(lo0, 0): time + B + n_future]
-    segf = state.xf[max(lo0, 0): time + B + n_future]
-    if lo0 < 0:
-        pad = np.zeros(-lo0)
-        seg = np.concatenate([pad, seg])
-        segf = np.concatenate([pad, segf])
+    seg, segf = state._segment(time - (state.n_past - 1),
+                               time + B + state.n_future)
     W = sliding_window_view(seg, n_taps)           # row i ↔ t = time + i
     taps_fwd = np.ascontiguousarray(taps[::-1])
 
     if not adapt:
+        # Frozen taps: pure filtering, no loop at all.
         outputs = W @ taps_fwd
         opad[s_len - 1:] = outputs
         errors = d + _ringing(opad, s_rev)
         _guard_block(errors, 0, B, context)
-        state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
-        state.time += B
-        return errors
+        _advance(state, opad, B)
+        return errors, outputs
 
     Wf = sliding_window_view(segf, n_taps)
     steps = _steps(Wf, mu, normalized)
-    o_view = sliding_window_view(opad, s_len)
+    o_view = sliding_window_view(opad, s_len)      # reads reflect writes
     errors = np.empty(B)
-    d_list = d.tolist()
-    step_list = steps.tolist()
+    d_list = d.tolist()                            # python floats: the hot
+    step_list = steps.tolist()                     # loop dodges np scalars
+    mask_list = (None if adapt_mask is None
+                 else np.asarray(adapt_mask, dtype=bool).tolist())
     decay = 1.0 - leak
     guard_at = GUARD_INTERVAL
     with np.errstate(all="ignore"):
@@ -186,24 +139,24 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
             opad[i + s_len - 1] = y
             e = d_list[i] + ddot(o_view[i], s_rev)
             errors[i] = e
-            if leak:
-                taps_fwd *= decay
-            daxpy(Wf[i], taps_fwd, a=-(step_list[i] * e))
+            if mask_list is None or mask_list[i]:
+                if leak:
+                    taps_fwd *= decay
+                daxpy(Wf[i], taps_fwd, a=-(step_list[i] * e))
             if i + 1 == guard_at:
                 _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
                              context)
                 guard_at += GUARD_INTERVAL
     _guard_block(errors, guard_at - GUARD_INTERVAL, B, context)
     taps[:] = taps_fwd[::-1]
-    state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
-    state.time += B
-    return errors
+    _advance(state, opad, B)
+    return errors, opad[s_len - 1:].copy()
 
 
 def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
                       adapt=None, active=None, context="SessionServer",
                       workspace=None):
-    """One lock-step FxLMS block across a *batch* of streaming states.
+    """One lock-step FxLMS block across a *batch* of kernel states.
 
     The cross-session kernel behind :mod:`repro.serving`: per-session
     tap vectors and reference histories are stacked on a leading
@@ -214,7 +167,7 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     Parameters
     ----------
     states:
-        Sequence of ``S`` streaming :class:`KernelState` objects with
+        Sequence of ``S`` :class:`KernelState` objects with
         identical geometry (``n_future``/``n_past``/secondary-path
         length); each keeps its own reference history, clock, and
         ringing buffer, which are advanced in place.
@@ -294,23 +247,16 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     ws.mu[:S] = mu
     mu_arr = ws.mu[:S]
 
-    # Stacked, left-zero-padded reference segments: row s covers every
-    # window of session s's block (same early-sample padding as the
-    # single-session path).
-    L = ws.seg_len
+    # Stacked reference segments: row s covers every window of session
+    # s's block, in the state's own left-zero-padded layout.
     SEG = ws.seg[:S]
     SEGF = ws.segf[:S]
     S_REV = ws.s_rev[:S]
     opad = ws.opad[:S]
-    SEG.fill(0.0)
-    SEGF.fill(0.0)
     opad.fill(0.0)
     for s, st in enumerate(states):
-        lo0 = st.time - (n_past - 1)
-        seg = st.x[max(lo0, 0): st.time + B + n_future]
-        SEG[s, L - seg.size:] = seg
-        segf = st.xf[max(lo0, 0): st.time + B + n_future]
-        SEGF[s, L - segf.size:] = segf
+        st._segment(st.time - (n_past - 1), st.time + B + n_future,
+                    out=(SEG[s], SEGF[s]))
         S_REV[s] = st.secondary_true[::-1]
         if s_len > 1:
             opad[s, :s_len - 1] = st.y_recent[:s_len - 1][::-1]
@@ -357,8 +303,7 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     np.logical_or(bad, ws.bad2[:S], out=bad)
     diverged = np.any(bad, axis=1, out=ws.diverged[:S])
     for s, st in enumerate(states):
-        st.y_recent[:] = opad[s, B - 1: B + s_len - 1][::-1]
-        st.time += B
+        _advance(st, opad[s], B)
     return errors, diverged
 
 
@@ -519,7 +464,10 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
     s_true = states[0].secondary_true
     s_len = s_true.size
     s_rev = np.ascontiguousarray(s_true[::-1])
-    Ws = [sliding_window_view(st.xp, st.n_taps) for st in states]
+    # Fresh states: the walk starts at sample 0 from silence.
+    segs = [st._segment(1 - st.n_past, T + st.n_future) for st in states]
+    Ws = [sliding_window_view(seg, st.n_taps)
+          for (seg, __), st in zip(segs, states)]
     taps_fwd = [np.ascontiguousarray(taps[::-1]) for taps in taps_list]
 
     if not adapt:
@@ -531,7 +479,8 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
         _guard_block(errors, 0, T, context)
         return errors, outputs
 
-    Wfs = [sliding_window_view(st.xfp, st.n_taps) for st in states]
+    Wfs = [sliding_window_view(segf, st.n_taps)
+           for (__, segf), st in zip(segs, states)]
     # Total filtered-window power across branches, summed branch order.
     total_power = np.zeros(T)
     for Wf in Wfs:

@@ -116,7 +116,7 @@ class LancFilter:
         self.taps[:] = 0.0
 
     # ------------------------------------------------------------------
-    # Batch physical simulation
+    # Whole-signal physical simulation
     # ------------------------------------------------------------------
     def run(self, reference, disturbance, secondary_path_true=None,
             adapt=True, adapt_mask=None):
@@ -157,20 +157,14 @@ class LancFilter:
             else check_impulse_response("secondary_path_true",
                                         secondary_path_true)
         )
-        if adapt_mask is not None:
-            adapt_mask = np.asarray(adapt_mask, dtype=bool)
-            if adapt_mask.shape != x.shape:
-                raise ConfigurationError(
-                    "adapt_mask must match the signal length"
-                )
-
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
 
-        state = kernels.KernelState.batch(
-            x, self.n_future, self.n_past, self.secondary_path, s_true
-        )
-        errors, outputs = kernels.fxlms_run(
+        # The whole signal is one block of the streaming kernel.
+        state = kernels.KernelState(self.n_future, self.n_past,
+                                    self.secondary_path, s_true)
+        state.close(x)
+        errors, outputs = kernels.fxlms_block(
             state, self.taps, d, self.mu, normalized=self.normalized,
             leak=self.leak, adapt=adapt, adapt_mask=adapt_mask,
             context="LancFilter",
@@ -219,7 +213,12 @@ class StreamingLanc:
             err = stream.process(disturbance[t0 : t0 + block])
 
     (or simply ``feed`` everything up front; ``process`` never reads past
-    ``time + n_future``.)
+    ``time + n_future``.)  When the reference is a known signal, end
+    it with :meth:`close` so the final ``n_future`` samples can be
+    processed: ``close(reference)`` on a fresh stream builds the very
+    state :meth:`LancFilter.run` builds, and processing it in any
+    partition of blocks then equals ``run()`` bit for bit (both walk
+    it with :func:`kernels.fxlms_block`).
     """
 
     def __init__(self, lanc_filter, secondary_path_true=None):
@@ -233,7 +232,7 @@ class StreamingLanc:
         )
         # All signal history (reference, filtered reference, ringing
         # anti-noise, the acoustic clock) lives in the kernel state.
-        self._state = kernels.KernelState.streaming(
+        self._state = kernels.KernelState(
             lanc_filter.n_future, lanc_filter.n_past,
             lanc_filter.secondary_path, self.s_true,
         )
@@ -247,6 +246,15 @@ class StreamingLanc:
     def feed(self, reference_block):
         """Deliver newly arrived aligned-reference samples."""
         self._state.extend(reference_block)
+
+    def close(self, last_block=None):
+        """End the reference: the ``n_future`` zeros past a known signal.
+
+        ``last_block``, if given, is fed first — ``close(reference)``
+        feeds a whole known signal.  See
+        :meth:`kernels.KernelState.close`; call once, as the last feed.
+        """
+        self._state.close(last_block)
 
     def peek_future(self, n_samples):
         """The next ``n_samples`` of not-yet-processed reference.
@@ -285,7 +293,7 @@ class StreamingLanc:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
         f = self.filter
-        errors = kernels.fxlms_block(
+        errors, __ = kernels.fxlms_block(
             self._state, f.taps, d, f.mu, normalized=f.normalized,
             leak=f.leak, adapt=adapt, active=active, context="StreamingLanc",
         )

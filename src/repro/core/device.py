@@ -192,7 +192,7 @@ class OnlineMuteDevice:
         if warm:
             lanc.set_taps(cached)
         stream = StreamingLanc(lanc, secondary_path_true=self._h_se)
-        stream.feed(np.concatenate([reference, np.zeros(n_future)]))
+        stream.close(reference)
         return stream, lanc, n_future, warm
 
     def run_session(self, schedule):

@@ -468,13 +468,12 @@ class MuteSystem:
             controller = DegradationController(
                 lanc, monitor=monitor, sample_rate=self.sample_rate
             )
-            # Feed everything up front, zero-padded so the final block's
-            # anti-causal taps see the same implicit zeros as the batch
-            # path (`padded_reference`).
+            # Feed everything up front with the one end-of-signal call
+            # (`KernelState.close`): the state `run()` builds, so with no
+            # faults (every block in mute mode) the residual equals
+            # `run(noise).residual` bit for bit.
             reference = prepared.reference
-            stream.feed(np.concatenate(
-                [reference, np.zeros(prepared.n_future)]
-            ) if prepared.n_future else reference)
+            stream.close(reference)
             with obs.span("mute.adapt", engine="resilient-lanc",
                           n_future=prepared.n_future,
                           n_past=self.config.n_past):

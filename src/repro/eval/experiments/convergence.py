@@ -113,7 +113,7 @@ def run_convergence(duration_s=12.0, *, seed=41, scenario=None):
                                          min_dwell_blocks=4)
     stream = StreamingLanc(switched,
                            secondary_path_true=scene.secondary_true)
-    stream.feed(np.concatenate([scene.reference, np.zeros(scene.n_future)]))
+    stream.close(scene.reference)
     block = max(int(0.02 * fs), 1)
     for start in range(0, scene.reference.size, block):
         window = np.concatenate([

@@ -171,7 +171,7 @@ def run_fig17(duration_s=16.0, *, seed=31, scenario=None, block_s=0.02,
                                          min_dwell_blocks=4)
     stream = StreamingLanc(switched,
                            secondary_path_true=scene.secondary_true)
-    stream.feed(np.concatenate([scene.reference, np.zeros(n_future)]))
+    stream.close(scene.reference)
 
     block = max(int(block_s * fs), 1)
     T = scene.reference.size

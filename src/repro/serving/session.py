@@ -214,12 +214,12 @@ class DeviceSession:
         )
         self.controller = DegradationController(
             self.filter, sample_rate=config.sample_rate)
-        # The kernel state is fed the delivered reference up front plus
-        # the trailing lookahead zeros the final block's windows read.
-        self.state = kernels.KernelState.streaming(
+        # The kernel state is fed the delivered reference up front and
+        # closed with the trailing lookahead zeros the final block's
+        # windows read.
+        self.state = kernels.KernelState(
             config.n_future, config.n_past, config.secondary())
-        self.state.extend(np.concatenate(
-            [self.reference, np.zeros(config.n_future)]))
+        self.state.close(self.reference)
         self.block_index = 0
         # Residual bank, preallocated to the whole workload span: blocks
         # are written in place (no per-tick list append + copy), and the

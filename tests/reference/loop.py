@@ -10,75 +10,66 @@ against this one (property-tested to ≤ 1e-10).
 
 Every entry point mutates the caller's tap (and auxiliary) arrays in
 place — engines keep owning their state; the kernel owns only the walk.
+The two-sided walks index the paper's tap convention the explicit way,
+through :func:`padded_reference` / :func:`tap_window` over the kernel
+state's ``x`` / ``xf``; the program reads the same windows from
+``KernelState._segment``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.adaptive.base import (effective_step, guard_divergence,
-                                     tap_window)
+from repro.core.adaptive.base import effective_step, guard_divergence
+from repro.utils.validation import (check_non_negative_int,
+                                    check_positive_int, check_waveform)
 
-__all__ = ["fxlms_run", "fxlms_block", "lms_run", "rls_run", "apa_run",
-           "multiref_run"]
+__all__ = ["fxlms_block", "lms_run", "rls_run", "apa_run", "multiref_run"]
 
 
-def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-              active=True, adapt_mask=None, context="LancFilter"):
-    """Batch two-sided FxLMS over a :meth:`KernelState.batch` state.
+def padded_reference(x, n_future, n_past):
+    """Pad ``x`` so every window ``x[t-n_past+1 .. t+n_future]`` exists.
 
-    Returns ``(errors, outputs)``; ``taps`` is updated in place.
+    Returns ``(padded, offset)`` where sample ``x[t]`` lives at
+    ``padded[t + offset]``.
     """
-    xp, off = state.xp, state.off
-    xfp, offf = state.xfp, state.offf
-    s_true = state.secondary_true
-    n_future, n_past = state.n_future, state.n_past
+    x = check_waveform("x", x)
+    n_future = check_non_negative_int("n_future", n_future)
+    n_past = check_positive_int("n_past", n_past)
+    padded = np.concatenate([
+        np.zeros(n_past - 1), x, np.zeros(n_future)
+    ])
+    return padded, n_past - 1
 
-    T = d.size
-    s_len = s_true.size
-    y_recent = np.zeros(s_len)  # y(t), y(t-1), ... newest first
-    errors = np.empty(T)
-    outputs = np.empty(T)
 
-    if not active:
-        # Speaker not driven: zero output, disturbance passes through
-        # (batch states start from silence, so no residual ringing).
-        outputs[:] = 0.0
-        errors[:] = d
-        return errors, outputs
+def tap_window(padded, offset, t, n_future, n_past):
+    """Window aligned with the tap vector: index 0 ↔ ``x(t + n_future)``.
 
-    for t in range(T):
-        win = tap_window(xp, off, t, n_future, n_past)
-        y = float(np.dot(taps, win))
-        outputs[t] = y
-        y_recent[1:] = y_recent[:-1]
-        y_recent[0] = y
-        e = d[t] + float(np.dot(s_true, y_recent))
-        errors[t] = e
-        guard_divergence(e, context)
-        if adapt and (adapt_mask is None or adapt_mask[t]):
-            winf = tap_window(xfp, offf, t, n_future, n_past)
-            step = effective_step(mu, winf, normalized)
-            if leak:
-                taps *= (1.0 - leak)
-            taps -= step * e * winf
-    return errors, outputs
+    ``y(t) = taps · window`` with taps stored future-first, because
+    ``taps[i] ↔ k = i - n_future`` multiplies ``x(t - k) = x(t + n_future - i)``.
+    """
+    start = t + offset - (n_past - 1)
+    stop = t + offset + n_future + 1
+    return padded[start:stop][::-1]
 
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-                active=True, context="StreamingLanc"):
-    """One streaming block over a :meth:`KernelState.streaming` state.
+                active=True, adapt_mask=None, context="StreamingLanc"):
+    """One two-sided FxLMS block over a :class:`KernelState`.
 
-    Advances ``state.time`` and ``state.y_recent``; returns the error
-    block.  ``active=False`` mutes the speaker for the block while
-    anti-noise already in flight keeps ringing through the secondary
-    path.
+    Windows are padded from ``state.x`` / ``state.xf`` (zeros before
+    sample 0; the state carries its own trailing zeros once closed).
+    Advances ``state.time`` and ``state.y_recent``; returns
+    ``(errors, outputs)``; ``taps`` is updated in place.
+    ``active=False`` mutes the speaker for the block while anti-noise
+    already in flight keeps ringing through the secondary path;
+    ``adapt_mask`` restricts adaptation to the samples where it is true.
     """
     n_future, n_past = state.n_future, state.n_past
     s_true = state.secondary_true
     y_recent = state.y_recent
-    x, xf = state.x, state.xf
     errors = np.empty(d.size)
+    outputs = np.zeros(d.size)
 
     if not active:
         # Speaker muted: output is zero, but anti-noise already in
@@ -89,32 +80,28 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
             e = d[i] + float(np.dot(s_true, y_recent))
             errors[i] = e
         state.time += d.size
-        return errors
+        return errors, outputs
 
+    xp, off = padded_reference(state.x, 0, n_past)
+    xfp, offf = padded_reference(state.xf, 0, n_past)
     for i in range(d.size):
         t = state.time + i
-        lo = t - (n_past - 1)
-        hi = t + n_future + 1
-        if lo >= 0:
-            win = x[lo:hi][::-1]
-            winf = xf[lo:hi][::-1]
-        else:
-            pad = -lo
-            win = np.concatenate([x[0:hi][::-1], np.zeros(pad)])
-            winf = np.concatenate([xf[0:hi][::-1], np.zeros(pad)])
+        win = tap_window(xp, off, t, n_future, n_past)
         y = float(np.dot(taps, win))
+        outputs[i] = y
         y_recent[1:] = y_recent[:-1]
         y_recent[0] = y
         e = d[i] + float(np.dot(s_true, y_recent))
         errors[i] = e
         guard_divergence(e, context)
-        if adapt:
+        if adapt and (adapt_mask is None or adapt_mask[i]):
+            winf = tap_window(xfp, offf, t, n_future, n_past)
             step = effective_step(mu, winf, normalized)
             if leak:
                 taps *= (1.0 - leak)
             taps -= step * e * winf
     state.time += d.size
-    return errors
+    return errors, outputs
 
 
 def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
@@ -214,7 +201,7 @@ def apa_run(x, d, taps, window, U, d_ring, mu, epsilon,
 
 def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
                  adapt=True, context="MultiRefLancFilter"):
-    """Multi-reference two-sided FxLMS: one batch state per branch.
+    """Multi-reference two-sided FxLMS: one fresh state per branch.
 
     All branches share the error signal and the (true) secondary path
     of ``states[0]``; the NLMS step is normalized by the *total*
@@ -224,7 +211,8 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
     s_true = states[0].secondary_true
     n_past = states[0].n_past
     T = d.size
-    branches = [(st.xp, st.off, st.xfp, st.offf, st.n_future)
+    branches = [padded_reference(st.x, 0, n_past)
+                + padded_reference(st.xf, 0, n_past) + (st.n_future,)
                 for st in states]
 
     y_recent = np.zeros(s_true.size)

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.core.adaptive import (
+    ApaFilter,
+    BlockLancFilter,
+    LancFilter,
+    LmsFilter,
+    MultiRefLancFilter,
+)
 from repro.core.adaptive.base import (
     AdaptationResult,
     TapVector,
     effective_step,
     guard_divergence,
     mse_curve,
-    padded_reference,
-    tap_window,
 )
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
+from tests.reference.loop import padded_reference, tap_window
 
 
 class TestTapVector:
@@ -101,6 +107,20 @@ class TestEffectiveStep:
     def test_epsilon_prevents_blowup(self):
         step = effective_step(1.0, np.zeros(4), normalized=True)
         assert np.isfinite(step)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5, float("nan"), "fast"])
+    @pytest.mark.parametrize("build", [
+        lambda mu: LmsFilter(8, mu=mu),
+        lambda mu: ApaFilter(8, mu=mu),
+        lambda mu: LancFilter(2, 8, np.ones(1), mu=mu),
+        lambda mu: BlockLancFilter(2, 8, np.ones(1), mu=mu),
+        lambda mu: MultiRefLancFilter([2], 8, np.ones(1), mu=mu),
+    ], ids=["lms", "apa", "lanc", "block", "multiref"])
+    def test_bad_mu_rejected_at_construction(self, build, mu):
+        # effective_step runs per sample and does not validate; the
+        # engines check mu once, when they are built.
+        with pytest.raises(ConfigurationError):
+            build(mu)
 
 
 class TestAdaptationResult:

@@ -101,7 +101,7 @@ class TestRestoreBitIdentity:
         taps_b = taps_a.copy()
 
         def fresh_state():
-            state = kernels.KernelState.streaming(
+            state = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
             state.extend(x)
             return state
@@ -110,19 +110,19 @@ class TestRestoreBitIdentity:
         outputs_a = [fxlms_block(
             uninterrupted, taps_a, d[i * BLOCK:(i + 1) * BLOCK],
             config.mu, normalized=config.normalized,
-        ) for i in range(6)]
+        )[0] for i in range(6)]
 
         split = fresh_state()
         outputs_b = [fxlms_block(
             split, taps_b, d[i * BLOCK:(i + 1) * BLOCK],
             config.mu, normalized=config.normalized,
-        ) for i in range(3)]
+        )[0] for i in range(3)]
         handoff = fresh_state()
         handoff.restore(split.snapshot())
         outputs_b += [fxlms_block(
             handoff, taps_b, d[i * BLOCK:(i + 1) * BLOCK],
             config.mu, normalized=config.normalized,
-        ) for i in range(3, 6)]
+        )[0] for i in range(3, 6)]
 
         assert np.array_equal(taps_a, taps_b)
         for block_a, block_b in zip(outputs_a, outputs_b):

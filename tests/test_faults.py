@@ -421,6 +421,16 @@ class TestRunResilient:
         assert plain.modes and all(m == MODE_MUTE for m in plain.modes)
         assert isinstance(plain, ResilientRunResult)
 
+    def test_fault_free_equals_run(self, fast_system):
+        # The resilient loop is the same kernel over the same closed
+        # state, in blocks: with every block in mute mode it equals the
+        # whole-signal run bit for bit, the last n_future samples too.
+        noise = self._noise()
+        resilient = fast_system.run_resilient(noise)
+        assert all(m == MODE_MUTE for m in resilient.modes)
+        np.testing.assert_array_equal(resilient.residual,
+                                      fast_system.run(noise).residual)
+
     def test_outage_degrades_then_recovers(self, fast_system):
         noise = self._noise()
         plan = outage_plan(2.0, 0.25, seed=0)

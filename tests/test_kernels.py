@@ -93,7 +93,7 @@ class TestBackendEquivalence:
         def run():
             f = LancFilter(n_future, 32, S_HAT, mu=0.3)
             stream = StreamingLanc(f, secondary_path_true=S_TRUE)
-            stream.feed(np.concatenate([x, np.zeros(n_future)]))
+            stream.close(x)
             for t0 in range(0, x.size, block):
                 stream.process(d[t0: t0 + block])
             return stream
@@ -281,30 +281,50 @@ class TestOneImplementation:
 
 
 class TestKernelState:
-    def test_batch_windows_match_convention(self):
+    def test_segment_windows_match_convention(self):
         x = np.arange(10.0)
-        state = KernelState.batch(x, 2, 3, np.array([1.0]))
-        # window[i] = x(t + n_future - i), zeros outside the signal.
-        np.testing.assert_array_equal(state.window(4),
-                                      np.array([6., 5., 4., 3., 2.]))
-        np.testing.assert_array_equal(state.window(0),
-                                      np.array([2., 1., 0., 0., 0.]))
-        np.testing.assert_array_equal(state.window(9),
-                                      np.array([0., 0., 9., 8., 7.]))
+        state = KernelState(2, 3, np.array([1.0]))
+        state.extend(x)
+        state.close()
 
-    def test_streaming_state_rejects_batch_accessors(self):
-        state = KernelState.streaming(2, 3, S_HAT)
-        with pytest.raises(ConfigurationError):
-            state.window(0)
-        batch = KernelState.batch(np.ones(8), 2, 3, S_HAT)
-        with pytest.raises(ConfigurationError):
-            batch.extend(np.ones(4))
+        def window(t):
+            # The forward segment row for t, reversed: window[i] =
+            # x(t + n_future - i), zeros outside the signal.
+            seg, __ = state._segment(t - 2, t + 1 + 2)
+            return seg[::-1]
+
+        np.testing.assert_array_equal(window(4),
+                                      np.array([6., 5., 4., 3., 2.]))
+        np.testing.assert_array_equal(window(0),
+                                      np.array([2., 1., 0., 0., 0.]))
+        np.testing.assert_array_equal(window(9),
+                                      np.array([0., 0., 9., 8., 7.]))
+        # Writing into caller buffers gives the same layout.
+        out = (np.full(8, np.nan), np.full(8, np.nan))
+        state._segment(-2, 6, out=out)
+        np.testing.assert_array_equal(out[0], state._segment(-2, 6)[0])
+        np.testing.assert_array_equal(out[1], state._segment(-2, 6)[1])
+        np.testing.assert_array_equal(out[0], [0., 0., 0., 1., 2., 3.,
+                                               4., 5.])
 
     def test_streaming_filtered_reference_matches_batch(self):
+        # Block-fed xf is the whole-signal convolution (lfilter's carry
+        # is exact up to rounding across calls), and close() keeps the
+        # ŝ ring-out of the last real samples.
         x, __ = _scene(8, T=300)
-        batch = KernelState.batch(x, 2, 8, S_HAT)
-        stream = KernelState.streaming(2, 8, S_HAT)
+        stream = KernelState(2, 8, S_HAT)
         for t0 in range(0, 300, 37):
             stream.extend(x[t0: t0 + 37])
         assert stream.fed() == 300
-        np.testing.assert_allclose(stream.xf, batch.xf, atol=1e-12)
+        np.testing.assert_allclose(stream.xf, np.convolve(x, S_HAT)[:300],
+                                   atol=1e-12, rtol=0)
+        stream.close()
+        assert stream.fed() == 302
+        np.testing.assert_array_equal(stream.x[300:], np.zeros(2))
+        np.testing.assert_allclose(stream.xf, np.convolve(x, S_HAT),
+                                   atol=1e-12, rtol=0)
+        # A known signal fed whole by close(x): its zero extension's
+        # convolution, bit for bit.
+        whole = KernelState(2, 8, S_HAT)
+        whole.close(x)
+        np.testing.assert_array_equal(whole.xf, np.convolve(x, S_HAT))

@@ -132,21 +132,22 @@ class TestMechanics:
 
 
 class TestStreamingLanc:
-    def test_matches_batch_except_boundary(self, rng):
+    def test_matches_whole_signal_run(self, rng):
+        # Every sample, including the last n_future: a closed stream
+        # and run() walk the same state through the same kernel.
         x, d = _nonminphase_scene(rng, T=4000)
         f1 = LancFilter(n_future=8, n_past=32, secondary_path=SECONDARY,
                         mu=0.5)
-        batch = f1.run(x, d)
+        whole = f1.run(x, d)
         f2 = LancFilter(n_future=8, n_past=32, secondary_path=SECONDARY,
                         mu=0.5)
         stream = StreamingLanc(f2)
-        stream.feed(np.concatenate([x, np.zeros(8)]))
+        stream.close(x)
         out = []
         for start in range(0, 4000, 333):
             out.append(stream.process(d[start: start + 333]))
-        streamed = np.concatenate(out)
-        np.testing.assert_allclose(batch.error[:-8], streamed[:-8],
-                                   atol=1e-9)
+        np.testing.assert_array_equal(np.concatenate(out), whole.error)
+        np.testing.assert_array_equal(f2.taps, f1.taps)
 
     def test_underrun_detected(self, rng):
         f = LancFilter(n_future=8, n_past=16, secondary_path=SECONDARY)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FxlmsFilter, LancFilter
+from repro.core import FxlmsFilter, LancFilter, StreamingLanc
 
 SECONDARY = np.array([0.0, 1.0, 0.1])
 
@@ -112,3 +112,35 @@ class TestEnergyAccounting:
         result = f.run(x, d)
         assert np.all(np.isfinite(result.output))
         assert np.all(np.isfinite(result.taps))
+
+
+class TestBlocksEqualWholeSignal:
+    """Processing in blocks equals processing the whole signal."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=1000),
+           st.integers(min_value=0, max_value=10),
+           st.lists(st.integers(min_value=1, max_value=1200), min_size=1,
+                    max_size=6),
+           st.booleans(), st.booleans())
+    def test_run_equals_stream_over_any_partition(self, seed, n_future,
+                                                  cuts, adapt, warm):
+        x, d = _scene(seed)
+        T = x.size
+        start = (np.random.default_rng(seed).standard_normal(
+            n_future + 24) * 0.05 if warm else np.zeros(n_future + 24))
+        f1 = LancFilter(n_future, 24, SECONDARY, mu=0.5)
+        f1.set_taps(start)
+        whole = f1.run(x, d, adapt=adapt)
+
+        f2 = LancFilter(n_future, 24, SECONDARY, mu=0.5)
+        f2.set_taps(start)
+        stream = StreamingLanc(f2)
+        stream.close(x)
+        bounds = sorted({c for c in np.cumsum(cuts) if c < T}) + [T]
+        t0 = 0
+        for t1 in bounds:
+            stream.process(d[t0:t1], adapt=adapt)
+            t0 = t1
+        np.testing.assert_array_equal(stream.error_signal(), whole.error)
+        np.testing.assert_array_equal(f2.taps, f1.taps)

@@ -79,9 +79,9 @@ class TestBatchKernelContract:
             span = (workload.reference.size // BLOCK) * BLOCK
             x = workload.reference[:span]
             d = workload.disturbance[:span]
-            state = kernels.KernelState.streaming(
+            state = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
-            state.extend(np.concatenate([x, np.zeros(config.n_future)]))
+            state.close(x)
             built.append((x, d, state))
         return built
 
@@ -110,7 +110,7 @@ class TestBatchKernelContract:
             for b in range(n_blocks):
                 solo_errors.append(loop_backend.fxlms_block(
                     state, solo_taps, d[b * BLOCK:(b + 1) * BLOCK],
-                    config.mu))
+                    config.mu)[0])
             np.testing.assert_allclose(
                 batch_errors[s], np.concatenate(solo_errors),
                 atol=self.TOL, rtol=0)
@@ -128,7 +128,7 @@ class TestBatchKernelContract:
         with pytest.raises(ConfigurationError):
             kernels.fxlms_block_batch([], good_taps, good_d, mu)
         with pytest.raises(ConfigurationError):        # ragged geometry
-            other = kernels.KernelState.streaming(
+            other = kernels.KernelState(
                 config.n_future + 1, config.n_past, config.secondary())
             other.extend(np.zeros(x.size + config.n_future + 1))
             kernels.fxlms_block_batch(
@@ -140,7 +140,7 @@ class TestBatchKernelContract:
         with pytest.raises(ConfigurationError):        # d shape
             kernels.fxlms_block_batch([state], good_taps, d[:BLOCK], mu)
         with pytest.raises(ConfigurationError):        # underrun
-            starved = kernels.KernelState.streaming(
+            starved = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
             starved.extend(np.zeros(8))
             kernels.fxlms_block_batch([starved], good_taps, good_d, mu)
@@ -155,10 +155,9 @@ class TestBatchWorkspace:
         built = []
         for workload in _workloads(3, seed=seed):
             span = (workload.reference.size // BLOCK) * BLOCK
-            state = kernels.KernelState.streaming(
+            state = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
-            state.extend(np.concatenate(
-                [workload.reference[:span], np.zeros(config.n_future)]))
+            state.close(workload.reference[:span])
             built.append((workload.disturbance[:span], state))
         taps = np.zeros((3, n_taps))
         mu = np.full(3, config.mu)
