@@ -16,10 +16,11 @@ from pathlib import Path
 
 from repro import obs
 # The one shared timer: every bench that reports a wall time uses the
-# same median-of-N summary (``Timing``) as the ``repro perf-profile``
-# ledger rows, so numbers in BENCH_*.json and repro.obs.report/v1
-# documents are directly comparable (see docs/PERFORMANCE.md).
-from repro.perf.timer import Timing, time_call  # noqa: F401  (re-export)
+# same median-of-N summary (``repro.obs.Timing``) as the
+# ``repro perf-profile`` ledger rows, so numbers in BENCH_*.json and
+# repro.obs.report/v1 documents are directly comparable (see
+# docs/PERFORMANCE.md).
+from repro.obs import time_call  # noqa: F401  (re-export)
 
 
 def run_once(benchmark, fn, **kwargs):
@@ -48,13 +49,6 @@ def metrics_snapshot():
     pattern.
     """
     return obs.get_registry().to_dict()
-
-
-def spread(timing):
-    """A :class:`~repro.perf.timer.Timing` as median/best/worst of N."""
-    return {"median_s": timing.median_s, "best_s": timing.best_s,
-            "worst_s": timing.worst_s, "repeats": timing.repeats,
-            "times_s": list(timing.times_s)}
 
 
 def host_fingerprint():

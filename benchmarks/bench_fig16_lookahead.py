@@ -5,7 +5,7 @@ from _bench_utils import run_once
 from repro.eval.experiments import run_fig16
 
 
-def test_fig16_lookahead_sweep(benchmark, report):
+def test_fig16_lookahead_curve(benchmark, report):
     result = run_once(benchmark, run_fig16, duration_s=8.0, seed=7)
     report(result.report())
 

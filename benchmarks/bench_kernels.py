@@ -19,7 +19,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from _bench_utils import host_fingerprint, spread, time_call, write_bench_json
+from _bench_utils import host_fingerprint, time_call, write_bench_json
 from repro.acoustics import Point, Room, room_impulse_response
 from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         MultiRefLancFilter, RlsFilter, StreamingLanc,
@@ -118,8 +118,8 @@ def test_kernel_backend_sweep(white_second, report):
         max_dev = float(np.max(np.abs(outputs["vector"] - outputs["loop"])))
         rows.append({
             "engine": name,
-            "loop": spread(timings["loop"]),
-            "vector": spread(timings["vector"]),
+            "loop": timings["loop"].to_dict(),
+            "vector": timings["vector"].to_dict(),
             "speedup": timings["loop"].best_s / timings["vector"].best_s,
             "max_abs_deviation": max_dev,
         })

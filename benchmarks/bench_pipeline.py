@@ -39,7 +39,7 @@ import json
 import numpy as np
 import pytest
 
-from _bench_utils import host_fingerprint, spread, time_call, write_bench_json
+from _bench_utils import host_fingerprint, time_call, write_bench_json
 from repro.core.system import MuteSystem
 from repro.eval.experiments.common import bench_scenario, default_config
 from repro.runtime.cache import get_channel_cache
@@ -107,7 +107,7 @@ def _time_leg(noise, leg):
             else:
                 timing = time_call(lambda: _construct_and_run(noise),
                                    repeats=REPEATS, warmup=1)
-        rows[name] = {"path": path, **spread(timing)}
+        rows[name] = {"path": path, **timing.to_dict()}
         residuals[name] = timing.result
     base, fast = rows["baseline"], rows["fast"]
     return {

@@ -31,11 +31,11 @@ runs bit-identical to uncrashed ones (``tests/test_chaos.py``).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
 from ..errors import ConfigurationError, InjectedCrashError
+from ..faults.events import EventPlan
 
 __all__ = [
     "ChaosEvent",
@@ -111,67 +111,23 @@ class StallAt(ChaosEvent):
         return self.block <= block < self.block + self.blocks
 
 
-def _event_blob(event):
-    """``Type(field=value,...)`` with exact reprs — plan-key material."""
-    fields = ",".join(
-        f"{f.name}={getattr(event, f.name)!r}"
-        for f in dataclasses.fields(event)
-    )
-    return f"{type(event).__name__}({fields})"
-
-
 @dataclasses.dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(EventPlan):
     """A deterministic, content-addressed schedule of chaos events.
 
-    Mirrors :class:`~repro.faults.FaultPlan`: frozen, events stored
-    sorted, hashable by content via :meth:`plan_key`, and the empty
-    plan is the identity — a session carrying it behaves exactly like
-    one carrying no injector at all.
+    Shares :class:`~repro.faults.events.EventPlan` with
+    :class:`~repro.faults.FaultPlan`: frozen, events stored sorted by
+    ``(block, type)``, hashable by content via :meth:`plan_key`, and
+    the empty plan is the identity — a session carrying it behaves
+    exactly like one carrying no injector at all.
     """
 
-    events: tuple = ()
-    seed: int = 0
+    event_type = ChaosEvent
+    key_prefix = "repro.chaos/v1"
 
-    def __post_init__(self):
-        events = tuple(self.events)
-        for event in events:
-            if not isinstance(event, ChaosEvent):
-                raise ConfigurationError(
-                    f"plan events must be ChaosEvent instances, "
-                    f"got {type(event).__name__}"
-                )
-        ordered = tuple(sorted(
-            events, key=lambda e: (e.block, type(e).__name__)
-        ))
-        object.__setattr__(self, "events", ordered)
-
-    def __len__(self):
-        return len(self.events)
-
-    @property
-    def empty(self):
-        """True when the plan injects nothing (the identity plan)."""
-        return not self.events
-
-    def plan_key(self):
-        """Deterministic SHA-256 content key (stable across processes)."""
-        parts = ["repro.chaos/v1", f"seed:{self.seed!r}"]
-        parts.extend(_event_blob(event) for event in self.events)
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-    def events_of(self, *types):
-        """The plan's events that are instances of the given types."""
-        return tuple(e for e in self.events if isinstance(e, types))
-
-    def describe(self):
-        """One line per event — for soak reports and logs."""
-        if self.empty:
-            return "ChaosPlan: (no events)"
-        lines = [f"ChaosPlan seed={self.seed} key={self.plan_key()[:12]}"]
-        for event in self.events:
-            lines.append(f"  {_event_blob(event)}")
-        return "\n".join(lines)
+    @staticmethod
+    def sort_key(event):
+        return (event.block, type(event).__name__)
 
 
 class SessionChaosInjector:

@@ -362,7 +362,6 @@ def _run_perf_profile(args, out):
     # `repro list` should not pay for building a scenario.
     from .core.system import MuteSystem
     from .eval.experiments.common import bench_scenario, default_config
-    from .perf import time_call
     from .runtime.cache import get_channel_cache
     from .signals import WhiteNoise
     from .wireless.relay import AnalogRelay
@@ -386,7 +385,7 @@ def _run_perf_profile(args, out):
 
     obs.reset()
     with obs.enabled_scope():
-        timing = time_call(job, repeats=args.repeats)
+        timing = obs.time_call(job, repeats=args.repeats)
     system, result = timing.result
 
     tracer = obs.get_tracer()

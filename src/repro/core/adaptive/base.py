@@ -8,9 +8,7 @@ Tap-index convention (matches the paper's Algorithm 1): a filter has
 
 so ``k = -n_future`` multiplies the most futuristic sample
 ``x(t + n_future)``.  Internally taps are stored oldest-*future*-first:
-``taps[0] ↔ k = -n_future`` ... ``taps[-1] ↔ k = n_past - 1``, which
-matches the oldest-first window returned by
-:meth:`repro.utils.buffers.LookaheadBuffer.window` *reversed*: the
+``taps[0] ↔ k = -n_future`` ... ``taps[-1] ↔ k = n_past - 1``: the
 kernels read forward (oldest-first) windows of
 ``KernelState._segment`` against the reversed taps.
 """

@@ -116,22 +116,15 @@ class RelaySelector:
         marginally positive lookahead cannot pay the pipeline latency.
     min_confidence:
         Reject measurements whose correlation spike is not prominent.
-    min_health:
-        Relays whose health score (see :meth:`select`) falls below this
-        are skipped outright — a link in backoff must not be selected
-        no matter how much lookahead it once offered.
     """
 
     def __init__(self, sample_rate=8000.0, min_lookahead_s=0.0,
-                 min_confidence=3.0, min_health=0.5):
+                 min_confidence=3.0):
         self.sample_rate = check_positive("sample_rate", sample_rate)
         if min_lookahead_s < 0:
             raise RelaySelectionError("min_lookahead_s must be >= 0")
         self.min_lookahead_s = float(min_lookahead_s)
         self.min_confidence = check_positive("min_confidence", min_confidence)
-        if not 0.0 < min_health <= 1.0:
-            raise RelaySelectionError("min_health must be in (0, 1]")
-        self.min_health = float(min_health)
 
     def measure_all(self, forwarded_by_relay, ear_signal, max_lag_s=0.05):
         """GCC-PHAT every relay; returns ``{relay_id: measurement}``."""
@@ -143,8 +136,7 @@ class RelaySelector:
             for relay_id, waveform in forwarded_by_relay.items()
         }
 
-    def select(self, forwarded_by_relay, ear_signal, max_lag_s=0.05,
-               health=None):
+    def select(self, forwarded_by_relay, ear_signal, max_lag_s=0.05):
         """Return ``(best_relay_id_or_None, measurements)``.
 
         Parameters
@@ -155,33 +147,21 @@ class RelaySelector:
             Error-microphone recording over the same span.
         max_lag_s : float
             Correlation search window, seconds.
-        health : dict, optional
-            ``{relay_id: score in [0, 1]}`` from a
-            :class:`~repro.faults.supervision.RelaySupervisor`.  Relays
-            scoring below ``min_health`` are skipped; otherwise the
-            effective score is ``lag × health``, so a probationary relay
-            only wins with a clear lookahead advantage.  Missing ids
-            default to 1.0.
 
         Returns
         -------
         (best_relay_id_or_None, measurements)
             ``None`` means every relay has negative/insufficient
-            lookahead (or is quarantined) — the sound source is nearer
-            the client than any usable relay, so LANC should not run on
-            forwarded audio (paper: "no relay is selected").
+            lookahead — the sound source is nearer the client than any
+            usable relay, so LANC should not run on forwarded audio
+            (paper: "no relay is selected").
         """
         measurements = self.measure_all(forwarded_by_relay, ear_signal,
                                         max_lag_s=max_lag_s)
-        health = health or {}
-        best_id, best_score = None, self.min_lookahead_s
+        best_id, best_lag = None, self.min_lookahead_s
         for relay_id, m in measurements.items():
             if not m.is_positive or m.confidence < self.min_confidence:
                 continue
-            relay_health = float(health.get(relay_id, 1.0))
-            if relay_health < self.min_health:
-                continue
-            score = m.lag_s * relay_health
-            if score > best_score:
-                best_id, best_score = relay_id, score
+            if m.lag_s > best_lag:
+                best_id, best_lag = relay_id, m.lag_s
         return best_id, measurements

@@ -30,7 +30,8 @@ from ..reporting import format_curves
 from .registry import experiment_result
 from .common import bench_scenario
 
-__all__ = ["Fig17Result", "run_fig17", "TwoSourceScene", "build_two_source_scene"]
+__all__ = ["Fig17Result", "run_fig17", "TwoSourceScene",
+           "build_two_source_scene", "single_vs_switching"]
 
 
 @dataclasses.dataclass
@@ -146,11 +147,14 @@ def _train_classifier(classifier, reference, mask, sample_rate):
     classifier.register("background", reference[quiet_idx[: min_len * 3]])
 
 
-def run_fig17(duration_s=16.0, *, seed=31, scenario=None, block_s=0.02,
-              settle_fraction=0.35, mu=0.1):
-    """Run single-filter and switching conditions over one scene."""
-    scene, n_past = build_two_source_scene(duration_s=duration_s, seed=seed,
-                                           scenario=scenario)
+def single_vs_switching(scene, n_past, block_s=0.02, mu=0.1):
+    """Run one scene under both conditions of Figures 8b/8c and 17.
+
+    Returns ``(single_error, switching_error, switcher)``: the residual
+    of one LANC filter over the whole scene, the residual of a filter
+    driven block by block under a :class:`PredictiveProfileSwitcher`,
+    and that switcher (its ``events`` are the profile swaps).
+    """
     fs = scene.sample_rate
     n_future = scene.n_future
 
@@ -184,14 +188,24 @@ def run_fig17(duration_s=16.0, *, seed=31, scenario=None, block_s=0.02,
         switcher.observe(window, start)
         stop = min(start + block, T)
         stream.process(scene.disturbance[start:stop])
-    res_switching = stream.error_signal()
+    return res_single.error, stream.error_signal(), switcher
+
+
+def run_fig17(duration_s=16.0, *, seed=31, scenario=None, block_s=0.02,
+              settle_fraction=0.35, mu=0.1):
+    """Run single-filter and switching conditions over one scene."""
+    scene, n_past = build_two_source_scene(duration_s=duration_s, seed=seed,
+                                           scenario=scenario)
+    fs = scene.sample_rate
+    err_single, err_switching, switcher = single_vs_switching(
+        scene, n_past, block_s=block_s, mu=mu)
 
     kwargs = dict(sample_rate=fs, settle_fraction=settle_fraction)
     curve_single = measure_cancellation(
-        scene.disturbance, res_single.error,
+        scene.disturbance, err_single,
         label="single filter", **kwargs)
     curve_switching = measure_cancellation(
-        scene.disturbance, res_switching,
+        scene.disturbance, err_switching,
         label="with switching", **kwargs)
     additional = additional_cancellation_db(curve_switching, curve_single)
 

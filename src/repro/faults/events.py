@@ -9,11 +9,13 @@ to take that premise away — on a schedule, reproducibly:
   loss/reorder, clock drift, relay handoff blackout);
 * a :class:`FaultPlan` is an ordered collection of events plus a seed —
   the complete, content-addressed description of "what goes wrong when"
-  for one simulated run.
+  for one simulated run.  Its frozen-tuple, sorting and
+  :meth:`~EventPlan.plan_key` machinery lives in :class:`EventPlan`,
+  which :class:`repro.chaos.ChaosPlan` shares.
 
 Plans are *data*, never behavior: applying one is the job of
-:mod:`repro.faults.injector`, which wraps a relay's ``forward()`` (or an
-``RfChannel.apply``) without touching the wrapped object.  Because a
+:mod:`repro.faults.injector`, which wraps a relay's ``forward()``
+without touching the wrapped object.  Because a
 plan is a frozen value with a deterministic :meth:`FaultPlan.plan_key`,
 two processes given equal plans inject bit-identical faults — which is
 what keeps :mod:`repro.runtime`'s parallel executor and channel cache
@@ -44,6 +46,7 @@ __all__ = [
     "PacketReorder",
     "ClockDrift",
     "RelayHandoff",
+    "EventPlan",
     "FaultPlan",
     "outage_plan",
     "packet_loss_plan",
@@ -133,8 +136,7 @@ class SnrFade(FaultEvent):
     ----------
     snr_db : float
         Received SNR during the fade, dB.  Applied as additive white
-        noise scaled against the in-window signal power (audio domain)
-        or the in-window baseband power (RF domain).
+        noise scaled against the in-window signal power.
     """
 
     snr_db: float = 10.0
@@ -246,13 +248,6 @@ class RelayHandoff(FaultEvent):
         return cls(start_s=at_s, stop_s=at_s + blackout_s)
 
 
-#: Stable ordering of event types inside a plan key.
-_EVENT_TYPES = (
-    RelayOutage, SnrFade, BurstInterference, PacketLoss, PacketReorder,
-    ClockDrift, RelayHandoff,
-)
-
-
 def _event_blob(event):
     """``Type(field=value,...)`` with exact float reprs — key material."""
     fields = ",".join(
@@ -263,7 +258,69 @@ def _event_blob(event):
 
 
 @dataclasses.dataclass(frozen=True)
-class FaultPlan:
+class EventPlan:
+    """A frozen, content-addressed schedule of events plus a seed.
+
+    The shared half of :class:`FaultPlan` and
+    :class:`repro.chaos.ChaosPlan`.  A subclass supplies three class
+    attributes: ``event_type`` (what its events must be), ``sort_key``
+    (the order events are stored in, so two plans with the same events
+    in different order are the same plan) and ``key_prefix`` (the
+    schema tag that opens :meth:`plan_key`).
+    """
+
+    events: tuple = ()
+    seed: int = 0
+
+    def __post_init__(self):
+        events = tuple(self.events)
+        for event in events:
+            if not isinstance(event, self.event_type):
+                raise ConfigurationError(
+                    f"plan events must be {self.event_type.__name__} "
+                    f"instances, got {type(event).__name__}"
+                )
+        object.__setattr__(self, "events",
+                           tuple(sorted(events, key=self.sort_key)))
+
+    def __len__(self):
+        return len(self.events)
+
+    @property
+    def empty(self):
+        """True when the plan injects nothing (the identity plan)."""
+        return not self.events
+
+    def plan_key(self):
+        """Deterministic SHA-256 content key for this plan.
+
+        Mirrors :func:`repro.runtime.cache.scenario_cache_key`: field
+        values are serialized via ``repr`` (floats round-trip exactly),
+        no ``hash()`` is involved, so the key is stable across processes
+        and ``PYTHONHASHSEED`` values.  Experiment envelopes and obs
+        spans carry it so a result can always be traced back to the
+        exact schedule that produced it.
+        """
+        parts = [self.key_prefix, f"seed:{self.seed!r}"]
+        parts.extend(_event_blob(event) for event in self.events)
+        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+
+    def events_of(self, *types):
+        """The plan's events that are instances of the given types."""
+        return tuple(e for e in self.events if isinstance(e, types))
+
+    def describe(self):
+        """One line per event — for reports and logs."""
+        name = type(self).__name__
+        if self.empty:
+            return f"{name}: (no events)"
+        lines = [f"{name} seed={self.seed} key={self.plan_key()[:12]}"]
+        lines.extend(f"  {_event_blob(event)}" for event in self.events)
+        return "\n".join(lines)
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultPlan(EventPlan):
     """A deterministic, content-addressed schedule of fault events.
 
     Parameters
@@ -285,47 +342,12 @@ class FaultPlan:
     (``tests/test_failure_injection.py`` holds this as a property test).
     """
 
-    events: tuple = ()
-    seed: int = 0
+    event_type = FaultEvent
+    key_prefix = "repro.faults/v1"
 
-    def __post_init__(self):
-        events = tuple(self.events)
-        for event in events:
-            if not isinstance(event, FaultEvent):
-                raise ConfigurationError(
-                    f"plan events must be FaultEvent instances, "
-                    f"got {type(event).__name__}"
-                )
-        ordered = tuple(sorted(
-            events, key=lambda e: (e.start_s, e.stop_s, type(e).__name__)
-        ))
-        object.__setattr__(self, "events", ordered)
-
-    def __len__(self):
-        return len(self.events)
-
-    @property
-    def empty(self):
-        """True when the plan injects nothing (the identity plan)."""
-        return not self.events
-
-    def plan_key(self):
-        """Deterministic SHA-256 content key for this plan.
-
-        Mirrors :func:`repro.runtime.cache.scenario_cache_key`: field
-        values are serialized via ``repr`` (floats round-trip exactly),
-        no ``hash()`` is involved, so the key is stable across processes
-        and ``PYTHONHASHSEED`` values.  Experiment envelopes and obs
-        spans carry it so a result can always be traced back to the
-        exact fault schedule that produced it.
-        """
-        parts = ["repro.faults/v1", f"seed:{self.seed!r}"]
-        parts.extend(_event_blob(event) for event in self.events)
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-    def events_of(self, *types):
-        """The plan's events that are instances of the given types."""
-        return tuple(e for e in self.events if isinstance(e, types))
+    @staticmethod
+    def sort_key(event):
+        return (event.start_s, event.stop_s, type(event).__name__)
 
     def outage_fraction(self, duration_s):
         """Fraction of ``[0, duration_s]`` covered by silence events.
@@ -346,15 +368,6 @@ class FaultPlan:
                 covered += hi - lo
                 cursor = hi
         return covered / duration_s
-
-    def describe(self):
-        """One line per event — for reports and logs."""
-        if self.empty:
-            return "FaultPlan: (no events)"
-        lines = [f"FaultPlan seed={self.seed} key={self.plan_key()[:12]}"]
-        for event in self.events:
-            lines.append(f"  {_event_blob(event)}")
-        return "\n".join(lines)
 
 
 def outage_plan(duration_s, fraction, center=0.5, seed=0):

@@ -7,7 +7,7 @@ default** and gated behind one global flag, so the un-instrumented
 library is bit-identical to this one; see ``docs/OBSERVABILITY.md`` for
 the full guide and JSON schemas.
 
-Three layers:
+Four layers:
 
 * :mod:`~repro.obs.config` — the global enable/disable switch
   (:func:`enable`, :func:`disable`, :func:`enabled`,
@@ -17,8 +17,10 @@ Three layers:
 * :mod:`~repro.obs.metrics` — labeled counters/gauges/histograms
   (:func:`get_registry`);
 * :mod:`~repro.obs.profile` — maps a recorded construct-and-run trace
-  onto the paper's lookahead budget (:func:`timing_budget_report`), and
-  bundles the ``repro perf-profile`` document (:func:`obs_report_dict`).
+  onto the paper's lookahead budget (:func:`timing_budget_report`),
+  bundles the ``repro perf-profile`` document (:func:`obs_report_dict`),
+  and owns the shared median-of-N timer (:class:`Timing`,
+  :func:`time_call`) the ledger and the benchmarks report with.
 
 Minimal session::
 
@@ -52,9 +54,11 @@ from .profile import (
     REPORT_SCHEMA,
     OneOffCost,
     StageBudget,
+    Timing,
     TimingBudgetReport,
     obs_report_dict,
     obs_report_json,
+    time_call,
     timing_budget_report,
 )
 from .trace import TRACE_SCHEMA, Span, Tracer, get_tracer, span
@@ -68,6 +72,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "METRICS_SCHEMA",
     # profile
+    "Timing", "time_call",
     "OneOffCost", "StageBudget", "TimingBudgetReport",
     "timing_budget_report",
     "obs_report_dict", "obs_report_json", "REPORT_SCHEMA",

@@ -15,9 +15,6 @@ makes heavy multi-scenario traffic cheap:
   governed by a :class:`JobRetryPolicy` (bounded retry with jittered
   backoff, per-job deadlines, partial :class:`SuiteReport` on abort —
   see ``docs/RESILIENCE.md``).
-* :mod:`~repro.runtime.sweeps` — :func:`sweep` expands parameter grids
-  into parallel runs; :func:`lookahead_sweep` / :func:`relay_map_sweep`
-  re-express Figures 16 and 19 as grids.
 * :mod:`~repro.runtime.request` — :class:`RunRequest`, the one frozen
   context object (seed, duration, fault plan, obs switch, worker
   count) accepted by ``Experiment.run``,
@@ -31,9 +28,6 @@ Quick tour::
     request = runtime.RunRequest(jobs=2, seed=1)
     suite = runtime.run_experiments(["fig13", "timing"], request=request)
     print(suite.report())                       # merged obs included
-
-    result = runtime.sweep("fig16",
-                           {"extras_s": [(0.0,), (0.38e-3,)]}, jobs=2)
 
 Full guide: ``docs/RUNTIME.md``.
 """
@@ -61,14 +55,6 @@ from .merge import (
     render_metrics_document,
 )
 from .request import RunRequest
-from .sweeps import (
-    SweepResult,
-    combined_curves,
-    lookahead_sweep,
-    merged_decisions,
-    relay_map_sweep,
-    sweep,
-)
 
 __all__ = [
     # cache
@@ -90,11 +76,4 @@ __all__ = [
     "merge_metrics_documents",
     "merge_trace_documents",
     "render_metrics_document",
-    # sweeps
-    "SweepResult",
-    "combined_curves",
-    "lookahead_sweep",
-    "merged_decisions",
-    "relay_map_sweep",
-    "sweep",
 ]

@@ -1,23 +1,21 @@
 """Parallel experiment executor: fan experiment runs out over processes.
 
 The experiment suite is embarrassingly parallel — every registered
-experiment (and every point of a parameter sweep) is an independent
-simulation.  :func:`run_experiments` fans them out over a
-``concurrent.futures`` process pool, with a serial in-process fallback
-whenever a pool is unavailable or ``jobs=1``, and folds each worker's
-:mod:`repro.obs` trace/metrics documents into one merged report
-(:class:`SuiteReport`).
+experiment is an independent simulation.  :func:`run_experiments` fans
+them out over a ``concurrent.futures`` process pool, with a serial
+in-process fallback whenever a pool is unavailable or ``jobs=1``, and
+folds each worker's :mod:`repro.obs` trace/metrics documents into one
+merged report (:class:`SuiteReport`).
 
 Run context travels as a :class:`~repro.runtime.request.RunRequest`:
 the request is pickled into each worker and applied *there* (seed,
 duration, fault plan, obs switch), so parallel workers see exactly the
 context a serial run would.
 
-This is what backs ``repro run-all --jobs N`` and
-:func:`repro.runtime.sweep`.  Determinism: a worker runs exactly the
-same registry entry point with exactly the same params and request as
-a serial call, so parallel results equal serial ones — the property
-``tests/test_runtime.py`` locks in.
+This is what backs ``repro run-all --jobs N``.  Determinism: a worker
+runs exactly the same registry entry point with exactly the same
+params and request as a serial call, so parallel results equal serial
+ones — the property ``tests/test_runtime.py`` locks in.
 
 Worker loss and deadlines
 -------------------------
@@ -490,8 +488,7 @@ def run_experiments(names, request=None, per_experiment=None, retry=None):
     ----------
     names:
         Iterable of registry names, or ``(name, params)`` pairs for
-        per-run params (duplicates allowed — a sweep runs the same
-        experiment at many parameter points).
+        per-run params (duplicates allowed).
     request:
         A :class:`~repro.runtime.request.RunRequest` carrying the run
         context: worker count (``request.jobs``; ``1`` runs serially

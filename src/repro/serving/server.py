@@ -284,23 +284,17 @@ class SessionServer:
         adapt = [g[0] for __, g in prepped]
         act = [g[1] for __, g in prepped]
         states = [session.state for session in batch]
-        st0 = states[0]
+        # Every session is built from ``config.session`` and
+        # ``config.block_size`` and admission caps the batch at
+        # ``max_sessions``, so the arena always fits.
         ws = self._workspace
-        if not ws.fits(S, self.config.block_size, st0.n_future, st0.n_past,
-                       st0.secondary_true.size):   # pragma: no cover
-            ws = None                              # heterogeneous override
-        if ws is not None:
-            taps = ws.taps_io[:S]
-            d = ws.d[:S]
-            mu = ws.mu[:S]
-            for i, session in enumerate(batch):
-                taps[i] = session.filter.taps
-                d[i] = session.next_block()[1]
-                mu[i] = session.filter.mu
-        else:   # pragma: no cover - only reachable with a foreign config
-            taps = np.stack([session.filter.taps for session in batch])
-            d = np.stack([session.next_block()[1] for session in batch])
-            mu = np.array([session.filter.mu for session in batch])
+        taps = ws.taps_io[:S]
+        d = ws.d[:S]
+        mu = ws.mu[:S]
+        for i, session in enumerate(batch):
+            taps[i] = session.filter.taps
+            d[i] = session.next_block()[1]
+            mu[i] = session.filter.mu
 
         started = time.perf_counter()
         errors, diverged = kernels.fxlms_block_batch(

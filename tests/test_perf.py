@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.perf import Timing, time_call
+from repro.obs import Timing, time_call
 
 
 class TestTimer:
@@ -27,7 +27,8 @@ class TestTimer:
 
     def test_to_dict_is_json_able(self):
         doc = time_call(lambda: None, repeats=2).to_dict()
-        assert set(doc) == {"median_s", "best_s", "repeats", "times_s"}
+        assert set(doc) == {"median_s", "best_s", "worst_s", "repeats",
+                            "times_s"}
         json.dumps(doc)
 
     def test_warmup_calls_are_untimed(self):
