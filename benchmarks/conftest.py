@@ -7,11 +7,11 @@ prints the same rows/series the paper's figure plots.  Run with::
     pytest benchmarks/ --benchmark-only -s
 
 Runtime benches (``runtime_bench`` marker) measure the
-:mod:`repro.runtime` layer itself — cache speedups, executor wall times
-— and are **opt-in**: pass ``--runtime-bench`` or set
-``REPRO_RUNTIME_BENCH=1``, e.g.::
+:mod:`repro.runtime` layer itself — executor wall times — and are
+**opt-in**: pass ``--runtime-bench`` or set ``REPRO_RUNTIME_BENCH=1``,
+e.g.::
 
-    pytest benchmarks/bench_runtime_cache.py --runtime-bench -s
+    pytest benchmarks/bench_runtime.py --runtime-bench -s
 
 The speedup gates (``bench_pipeline.py``, ``bench_kernels.py``) time
 the program against the slow reference formulations in
@@ -35,7 +35,7 @@ if _ROOT not in sys.path:
 def pytest_addoption(parser):
     parser.addoption(
         "--runtime-bench", action="store_true", default=False,
-        help="run the repro.runtime benches (cache/executor timings)",
+        help="run the repro.runtime benches (executor timings)",
     )
 
 

@@ -351,18 +351,17 @@ def _run_chaos_soak(args, out):
 def _run_perf_profile(args, out):
     """The ``perf-profile`` subcommand: one traced construct-and-run.
 
-    Each repeat is the benchmark's ``fig12_fm`` operation — clear the
-    channel cache, build the FM relay, construct the ``MuteSystem`` on
-    the bench scenario and run it — traced with :mod:`repro.obs` and
-    timed from outside.  Span tree, metrics and ledger all come from
-    that one trace; previously recorded spans/metrics are cleared first
-    and the enable/disable state is restored afterwards.
+    Each repeat is the benchmark's ``fig12_fm`` operation — build the
+    FM relay, construct the ``MuteSystem`` on the bench scenario and
+    run it — traced with :mod:`repro.obs` and timed from outside.
+    Span tree, metrics and ledger all come from that one trace;
+    previously recorded spans/metrics are cleared first and the
+    enable/disable state is restored afterwards.
     """
     # Imported here: the CLI composes the library top-down, and plain
     # `repro list` should not pay for building a scenario.
     from .core.system import MuteSystem
     from .eval.experiments.common import bench_scenario, default_config
-    from .runtime.cache import get_channel_cache
     from .signals import WhiteNoise
     from .wireless.relay import AnalogRelay
 
@@ -377,7 +376,6 @@ def _run_perf_profile(args, out):
     noise = source.generate(args.duration)
 
     def job():
-        get_channel_cache().clear()
         relay = AnalogRelay(audio_rate=source.sample_rate, seed=args.seed)
         system = MuteSystem(bench_scenario(sample_rate=source.sample_rate),
                             default_config(relay=relay, seed=args.seed))

@@ -119,7 +119,6 @@ class OnlineMuteDevice:
                                       min_confidence=3.0)
 
         # Secondary path is a property of the (static) client position.
-        self._channels_cache = {}
         base = scenario.build_channels()
         self._h_se = base.h_se.ir
         estimate = estimate_secondary_path(
@@ -133,11 +132,7 @@ class OnlineMuteDevice:
     # Simulation-side signal synthesis
     # ------------------------------------------------------------------
     def _channels_for(self, source):
-        key = source.as_tuple()
-        if key not in self._channels_cache:
-            self._channels_cache[key] = \
-                self.scenario.with_source(source).build_channels()
-        return self._channels_cache[key]
+        return self.scenario.with_source(source).build_channels()
 
     def _synthesize(self, schedule):
         """Per-relay forwarded streams + ear stream for a schedule."""

@@ -2,11 +2,9 @@
 
 A :class:`Scenario` is the physical layout of one experiment — the room,
 the noise source, the MUTE client (error microphone + anti-noise
-speaker) and one or more IoT relays.  ``build_channels()`` returns every
-impulse response the system needs, together with the per-relay acoustic
-lead — served from the :mod:`repro.runtime` channel cache when the same
-geometry was built before, and computed by the image-source model
-(``compute_channels()``) otherwise.
+speaker) and one or more IoT relays.  ``build_channels()`` runs the
+image-source model for every impulse response the system needs and
+derives the per-relay acoustic lead.
 """
 
 from __future__ import annotations
@@ -120,25 +118,12 @@ class Scenario:
         """Copy with the noise source moved (Figure 19 sweeps)."""
         return dataclasses.replace(self, source=source)
 
-    def build_channels(self, cache=True):
-        """The scenario's channels, through the runtime channel cache.
+    def build_channels(self):
+        """Run the image-source model for every path.
 
-        ``cache=True`` (default) routes through the process-global
-        :class:`~repro.runtime.cache.ChannelCache`, so rebuilding the
-        same geometry is nearly free and bit-identical to a cold
-        compute; pass a specific :class:`ChannelCache` to use it
-        instead, or ``False`` to force an uncached compute.
+        Every call returns freshly computed channels, so streaming
+        filter state is never shared between callers.
         """
-        if cache is False or cache is None:
-            return self.compute_channels()
-        # Imported lazily: repro.runtime sits above repro.core.
-        from ..runtime.cache import get_channel_cache
-
-        store = get_channel_cache() if cache is True else cache
-        return store.get_or_build(self)
-
-    def compute_channels(self):
-        """Run the image-source model for every path (uncached)."""
         h_ne_ir = room_impulse_response(
             self.room, self.source, self.client, self.sample_rate,
             settings=self.rir_settings,

@@ -90,7 +90,7 @@ class EdgeResult:
                 n,
                 f"{service.adaptation_duty:.2f}",
                 f"{service.mean_cancellation_db():.1f}",
-                f"{min(service.cancellation_db.values()):.1f}",
+                f"{max(service.cancellation_db.values()):.1f}",
             ))
         return format_table(
             ["subscribers", "adaptation duty", "mean dB", "worst client dB"],

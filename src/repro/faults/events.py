@@ -294,12 +294,13 @@ class EventPlan:
     def plan_key(self):
         """Deterministic SHA-256 content key for this plan.
 
-        Mirrors :func:`repro.runtime.cache.scenario_cache_key`: field
-        values are serialized via ``repr`` (floats round-trip exactly),
-        no ``hash()`` is involved, so the key is stable across processes
-        and ``PYTHONHASHSEED`` values.  Experiment envelopes and obs
-        spans carry it so a result can always be traced back to the
-        exact schedule that produced it.
+        SHA-256 over ``key_prefix``, ``seed:<repr(seed)>`` and one
+        ``Type(field=repr(value),...)`` blob per event in plan order,
+        joined by ``|``.  Floats round-trip exactly through ``repr``
+        and no ``hash()`` is involved, so the key is stable across
+        processes and ``PYTHONHASHSEED`` values.  Experiment envelopes
+        and obs spans carry it so a result can always be traced back to
+        the exact schedule that produced it.
         """
         parts = [self.key_prefix, f"seed:{self.seed!r}"]
         parts.extend(_event_blob(event) for event in self.events)

@@ -1,370 +1,14 @@
-"""Content-addressed cache for scenario acoustic channels.
+"""Stub: there is no channel cache; ``build_channels()`` always computes.
 
-The image-source model (:mod:`repro.acoustics.rir`) is the most
-expensive kernel in the whole pipeline, and every experiment, benchmark,
-and :class:`~repro.core.system.MuteSystem` construction re-runs it for
-*identical geometry*.  This module makes the second and every later
-build of the same scenario effectively free:
-
-* :func:`scenario_cache_key` derives a deterministic, cross-process
-  SHA-256 key from ``(Room, positions, RirSettings, sample_rate)`` —
-  no ``hash()`` involved, so ``PYTHONHASHSEED`` cannot perturb it;
-* :class:`ChannelCache` holds an in-process LRU of raw impulse
-  responses plus an **opt-in** on-disk store (``~/.cache/repro`` by
-  default) with versioned, atomically written ``.npz`` entries;
-* :meth:`Scenario.build_channels` routes through the process-global
-  cache (see :func:`get_channel_cache`), so every caller hits it
-  transparently.
-
-Cache hits are **bit-identical** to cold builds: entries store the raw
-FIR arrays and each hit materializes *fresh* :class:`AcousticChannel`
-objects from private copies, so streaming filter state is never shared
-between callers.  Corrupt or truncated disk entries are detected,
-moved aside into a ``.quarantine/`` sidecar directory (so the bytes
-survive for post-mortem inspection), and recomputed — a cache can lose
-data, never corrupt a result.  Full scheme in ``docs/RUNTIME.md``.
+:func:`get_channel_cache` remains only because the external benchmark
+(``perfbench/workloads.py``) imports it to start set-up cold.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import os
-import tempfile
-import threading
-from collections import OrderedDict
-from pathlib import Path
-
-import numpy as np
-
-from .. import obs
-from ..acoustics.channels import AcousticChannel
-from ..errors import ConfigurationError
-
-__all__ = [
-    "CHANNEL_KEY_VERSION",
-    "ChannelCache",
-    "default_disk_dir",
-    "get_channel_cache",
-    "scenario_cache_key",
-    "set_channel_cache",
-]
-
-#: Bumped whenever the key derivation *or* the channel computation
-#: changes meaning; stale disk entries from older versions simply miss.
-CHANNEL_KEY_VERSION = 2
-
-#: On-disk entry layout version (independent of the key version).
-DISK_FORMAT_VERSION = 1
-
-#: Environment variable that overrides the on-disk store location.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable that opts the default cache into the disk store.
-DISK_CACHE_ENV = "REPRO_DISK_CACHE"
-
-
-def default_disk_dir():
-    """The default on-disk store: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
-    root = os.environ.get(CACHE_DIR_ENV)
-    base = Path(root).expanduser() if root else Path("~/.cache/repro").expanduser()
-    return base / "channels"
-
-
-def _fields_blob(obj):
-    """``field=repr(value)`` for every dataclass field, in field order.
-
-    ``repr`` of floats round-trips exactly, so two processes always
-    derive the same blob for the same values.
-    """
-    pairs = []
-    for field in dataclasses.fields(obj):
-        pairs.append(f"{field.name}={getattr(obj, field.name)!r}")
-    return ",".join(pairs)
-
-
-def scenario_cache_key(scenario):
-    """Deterministic content key for one scenario's acoustic channels.
-
-    Covers everything :meth:`Scenario.compute_channels` reads: room
-    geometry and absorption, source/client/relay/speaker positions, the
-    sample rate, and every :class:`RirSettings` field — plus
-    :data:`CHANNEL_KEY_VERSION` so algorithm changes invalidate old
-    entries.  Stable across processes and ``PYTHONHASHSEED`` values.
-    """
-    parts = [
-        f"repro.channels/v{CHANNEL_KEY_VERSION}",
-        f"room:{_fields_blob(scenario.room)}",
-        f"source:{_fields_blob(scenario.source)}",
-        f"client:{_fields_blob(scenario.client)}",
-        "relays:" + ";".join(_fields_blob(r) for r in scenario.relays),
-        f"speaker_offset_m:{scenario.speaker_offset_m!r}",
-        f"sample_rate:{scenario.sample_rate!r}",
-        f"rir:{_fields_blob(scenario.rir_settings)}",
-    ]
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-
-@dataclasses.dataclass(frozen=True)
-class _Entry:
-    """Raw cached payload: arrays only, no live filter state."""
-
-    h_ne: np.ndarray
-    h_nr: tuple
-    h_se: np.ndarray
-    lead: tuple
-    sample_rate: float
-
-
-class ChannelCache:
-    """In-process LRU + optional on-disk store for scenario channels.
-
-    Parameters
-    ----------
-    max_entries:
-        LRU capacity; the oldest entry is evicted past this.  A bench
-        room's channels are a few hundred KB, so the default keeps the
-        working set of a full experiment suite resident.
-    disk_dir:
-        Directory for the persistent store, or ``None`` (memory only).
-        Entries are written atomically (temp file + ``os.replace``) and
-        validated on load; anything unreadable is quarantined under
-        ``<disk_dir>/.quarantine/`` and rebuilt from scratch.
-    """
-
-    def __init__(self, max_entries=64, disk_dir=None):
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self.disk_dir = Path(disk_dir) if disk_dir else None
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_discards = 0
-        self.quarantined = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def get_or_build(self, scenario):
-        """The scenario's :class:`ScenarioChannels`, cached.
-
-        Memory hit → disk hit → cold compute, in that order; cold
-        results are inserted into both layers.  Every return value is
-        materialized from private array copies, so callers can stream
-        through the channels without contaminating the cache.
-        """
-        key = scenario_cache_key(scenario)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                self._count("hit")
-                return self._materialize(entry)
-
-        entry = self._disk_load(key)
-        if entry is not None:
-            with self._lock:
-                self._insert(key, entry)
-                self.disk_hits += 1
-                self._count("disk_hit")
-            return self._materialize(entry)
-
-        channels = scenario.compute_channels()
-        entry = _Entry(
-            h_ne=np.array(channels.h_ne.ir, copy=True),
-            h_nr=tuple(np.array(ch.ir, copy=True) for ch in channels.h_nr),
-            h_se=np.array(channels.h_se.ir, copy=True),
-            lead=tuple(int(v) for v in channels.acoustic_lead_samples),
-            sample_rate=float(channels.sample_rate),
-        )
-        with self._lock:
-            self._insert(key, entry)
-            self.misses += 1
-            self._count("miss")
-        self._disk_store(key, entry)
-        return channels
-
-    def stats(self):
-        """Hit/miss counters as a plain dict (for reports and tests)."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "disk_discards": self.disk_discards,
-            "quarantined": self.quarantined,
-            "evictions": self.evictions,
-        }
-
-    def clear(self, disk=False):
-        """Drop every in-memory entry (and the disk store if asked)."""
-        with self._lock:
-            self._entries.clear()
-        if disk and self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("*.npz"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def __len__(self):
-        return len(self._entries)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _count(self, result):
-        if obs.enabled():
-            obs.get_registry().counter("runtime.channel_cache",
-                                       result=result).inc()
-
-    def _insert(self, key, entry):
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def _materialize(self, entry):
-        # Import here: scenario imports this module (lazily) for the
-        # global cache, so the top level must not import scenario.
-        from ..core.scenario import ScenarioChannels
-
-        return ScenarioChannels(
-            h_ne=AcousticChannel(np.array(entry.h_ne, copy=True),
-                                 name="h_ne"),
-            h_nr=tuple(
-                AcousticChannel(np.array(ir, copy=True), name=f"h_nr[{i}]")
-                for i, ir in enumerate(entry.h_nr)
-            ),
-            h_se=AcousticChannel(np.array(entry.h_se, copy=True),
-                                 name="h_se"),
-            acoustic_lead_samples=tuple(entry.lead),
-            sample_rate=entry.sample_rate,
-        )
-
-    def _disk_path(self, key):
-        return self.disk_dir / f"{key}.npz"
-
-    def _disk_store(self, key, entry):
-        """Atomic write: full temp file + rename, or nothing."""
-        if self.disk_dir is None:
-            return
-        try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "version": np.array([DISK_FORMAT_VERSION], dtype=np.int64),
-                "sample_rate": np.array([entry.sample_rate]),
-                "lead": np.array(entry.lead, dtype=np.int64),
-                "n_relays": np.array([len(entry.h_nr)], dtype=np.int64),
-                "h_ne": entry.h_ne,
-                "h_se": entry.h_se,
-            }
-            for i, ir in enumerate(entry.h_nr):
-                payload[f"h_nr_{i}"] = ir
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir,
-                                       suffix=".npz.tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, **payload)
-                os.replace(tmp, self._disk_path(key))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError:
-            # A read-only or full disk degrades to memory-only caching.
-            pass
-
-    def _disk_load(self, key):
-        """Load one entry, or ``None`` (and drop the file) if unusable."""
-        if self.disk_dir is None:
-            return None
-        path = self._disk_path(key)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                version = int(data["version"][0])
-                if version != DISK_FORMAT_VERSION:
-                    raise ValueError(f"disk format v{version}")
-                n_relays = int(data["n_relays"][0])
-                entry = _Entry(
-                    h_ne=np.array(data["h_ne"]),
-                    h_nr=tuple(np.array(data[f"h_nr_{i}"])
-                               for i in range(n_relays)),
-                    h_se=np.array(data["h_se"]),
-                    lead=tuple(int(v) for v in data["lead"]),
-                    sample_rate=float(data["sample_rate"][0]),
-                )
-            if len(entry.lead) != n_relays:
-                raise ValueError("lead/relay count mismatch")
-            for ir in (entry.h_ne, entry.h_se) + entry.h_nr:
-                if ir.ndim != 1 or not np.all(np.isfinite(ir)):
-                    raise ValueError("invalid impulse response")
-            return entry
-        except Exception:
-            # Corrupt, truncated, or stale-format entry: move it aside
-            # so the slot is rebuilt from scratch (and rewritten
-            # cleanly) while the bad bytes stay available for
-            # inspection under .quarantine/.
-            self.disk_discards += 1
-            self._count("disk_discard")
-            self._quarantine(path)
-            return None
-
-    def _quarantine(self, path):
-        """Move a corrupt entry into ``.quarantine/`` (unlink fallback)."""
-        if obs.enabled():
-            obs.get_registry().counter("cache.corruption_total").inc()
-        try:
-            qdir = self.disk_dir / ".quarantine"
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            self.quarantined += 1
-        except OSError:
-            # Can't move it (read-only dir, cross-device ...): fall back
-            # to deleting so the poisoned entry never hits again.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-
-_default_cache = None
-_default_lock = threading.Lock()
+import types
 
 
 def get_channel_cache():
-    """The process-global cache :meth:`Scenario.build_channels` uses.
-
-    Created on first use; the disk store is attached when
-    ``$REPRO_DISK_CACHE`` is a truthy value (``1``/``true``/``yes``),
-    honoring ``$REPRO_CACHE_DIR`` for its location.
-    """
-    global _default_cache
-    with _default_lock:
-        if _default_cache is None:
-            disk = os.environ.get(DISK_CACHE_ENV, "").strip().lower()
-            disk_dir = (default_disk_dir()
-                        if disk in ("1", "true", "yes", "on") else None)
-            _default_cache = ChannelCache(disk_dir=disk_dir)
-        return _default_cache
-
-
-def set_channel_cache(cache):
-    """Replace the process-global cache; returns the previous one.
-
-    Pass a :class:`ChannelCache` (e.g. one with a disk store), or
-    ``None`` to reset to a fresh default on next use.
-    """
-    global _default_cache
-    with _default_lock:
-        previous = _default_cache
-        _default_cache = cache
-        return previous
+    """An object whose ``clear()`` does nothing."""
+    return types.SimpleNamespace(clear=lambda: None)

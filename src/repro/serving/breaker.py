@@ -27,11 +27,10 @@ that ladder:
     (adaptation resumes from the frozen taps — warm, no cold-start
     transient); missing re-opens it with an escalated cooldown.
 
-Determinism: by default the breaker observes only *simulated* latency
+Determinism: the breaker observes only *simulated* latency
 (chaos-injected stalls), so zero-chaos serving output is bit-identical
 with breakers enabled — wall-clock jitter on a loaded machine cannot
-flip a run's bits.  Set ``measure_wall=True`` to feed it real kernel
-wall times (a production setting, not a reproduction one).
+flip a run's bits.
 """
 
 from __future__ import annotations
@@ -79,10 +78,6 @@ class DeadlineConfig:
     escalate_trips:
         Trip count at which the open-state floor worsens from
         ``feedback`` to ``passive``.
-    measure_wall:
-        Feed real kernel wall time into the breaker in addition to
-        injected stalls.  Off by default — see the module docstring's
-        determinism note.
     """
 
     budget_s: float | None = None
@@ -92,7 +87,6 @@ class DeadlineConfig:
     cooldown_factor: float = 2.0
     max_cooldown_blocks: int = 64
     escalate_trips: int = 2
-    measure_wall: bool = False
 
     def __post_init__(self):
         if self.budget_s is not None and self.budget_s <= 0:

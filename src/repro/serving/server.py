@@ -311,8 +311,6 @@ class SessionServer:
             registry.histogram("serving.block_latency_s").observe(elapsed)
             registry.counter("serving.blocks_total").inc(S)
 
-        measure_wall = (self.config.deadline is not None
-                        and self.config.deadline.measure_wall)
         for i, session in enumerate(batch):
             session.filter.taps[:] = taps[i]
             if diverged[i]:
@@ -323,11 +321,9 @@ class SessionServer:
                 if self.supervisor is not None:
                     self.supervisor.after_block(session)
             if session.breaker is not None:
-                # The breaker sees injected stalls always; real kernel
-                # wall time only when measure_wall opts in (see the
-                # determinism note in repro.serving.breaker).
-                latency_s = stalls[i] + (elapsed if measure_wall else 0.0)
-                session.breaker.observe(latency_s)
+                # The breaker sees injected stalls, never wall time
+                # (see the determinism note in repro.serving.breaker).
+                session.breaker.observe(stalls[i])
         self.session_blocks += S
 
     def tick(self):

@@ -1,4 +1,4 @@
-"""Documentation lint: dead links and undocumented experiments.
+"""Documentation lint: dead links, undocumented experiments, stale env vars.
 
 The docs cross-reference each other, the source tree, and the experiment
 catalog — all of which drift as the library grows.  This checker keeps
@@ -10,7 +10,10 @@ them honest:
   `` `src/repro/cli.py` ``) must exist, resolved against the referencing
   file's directory, the repo root, and ``src/repro``;
 * every experiment registered in :mod:`repro.eval.experiments` must be
-  mentioned by name in at least one checked document.
+  mentioned by name in at least one checked document;
+* every ``REPRO_*`` environment variable a checked document names must
+  be read by some ``.py`` file under ``src/``, ``tests/`` or
+  ``benchmarks/`` (it appears there as a quoted string literal).
 
 Run it directly::
 
@@ -36,6 +39,12 @@ _LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 
 #: Backticked path-looking references ending in .md or .py.
 _BACKTICK_RE = re.compile(r"`([^`\s]+\.(?:md|py))`")
+
+#: The project's environment variable names.
+_ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+
+#: Where the code that may read an environment variable lives.
+_CODE_DIRS = ("src", "tests", "benchmarks")
 
 
 def _repo_root():
@@ -104,6 +113,20 @@ def check_experiments_documented(root, problems):
             )
 
 
+def check_env_vars_read(root, problems):
+    """Every ``REPRO_*`` name in the checked docs must be read by code."""
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for d in _CODE_DIRS
+                     for path in sorted((root / d).rglob("*.py")))
+    read = set(re.findall(r"[\"'](REPRO_[A-Z0-9_]+)[\"']", code))
+    for doc in _documents(root):
+        named = set(_ENV_RE.findall(doc.read_text(encoding="utf-8")))
+        for name in sorted(named - read):
+            problems.append(
+                f"{doc.relative_to(root)}: environment variable {name} "
+                f"is read by no .py file under {', '.join(_CODE_DIRS)}")
+
+
 def collect_problems(root=None):
     """Run every check; returns a list of problem strings (empty = clean)."""
     root = pathlib.Path(root) if root is not None else _repo_root()
@@ -112,6 +135,7 @@ def collect_problems(root=None):
         return [f"no markdown documents found under {root}"]
     check_links(root, problems)
     check_experiments_documented(root, problems)
+    check_env_vars_read(root, problems)
     return problems
 
 
@@ -119,7 +143,8 @@ def main(argv=None):
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.check_docs",
-        description="lint intra-repo documentation links and coverage",
+        description="lint intra-repo documentation links, coverage and "
+                    "environment variables",
     )
     parser.add_argument("--root", default=None,
                         help="checkout root (default: inferred from the "

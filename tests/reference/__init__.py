@@ -28,7 +28,6 @@ import pytest
 from repro.acoustics import timevarying
 from repro.core import multisource, scenario
 from repro.core.adaptive import kernels
-from repro.runtime.cache import ChannelCache, set_channel_cache
 from repro.utils import fastconv
 from repro.wireless import am, fm
 from repro.wireless.rf_channel import RfChannel
@@ -50,32 +49,21 @@ def reference_kernels():
 @contextlib.contextmanager
 def reference_signal_path():
     """Route RIRs, FIR, resampling, FM/AM and the RF channel through
-    their reference forms.
-
-    Channels built inside the block go to a private, empty channel
-    cache, so oracle-built and program-built impulse responses never
-    serve each other.
-    """
-    previous = set_channel_cache(ChannelCache())
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            for module in (scenario, multisource, timevarying):
-                patch.setattr(module, "room_impulse_response",
-                              rir.room_impulse_response)
-            patch.setattr(fastconv, "fir_apply", fir.fir_apply)
-            patch.setattr(fastconv.StreamingFir, "process",
-                          fir.streaming_process)
-            patch.setattr(fm, "resample", modulation.resample)
-            patch.setattr(am, "resample", modulation.resample)
-            patch.setattr(fm.FmModulator, "modulate",
-                          modulation.fm_modulate)
-            patch.setattr(fm.FmDemodulator, "demodulate",
-                          modulation.fm_demodulate)
-            patch.setattr(am.AmModulator, "modulate",
-                          modulation.am_modulate)
-            patch.setattr(am.AmDemodulator, "demodulate",
-                          modulation.am_demodulate)
-            patch.setattr(RfChannel, "apply", modulation.rf_channel_apply)
-            yield
-    finally:
-        set_channel_cache(previous)
+    their reference forms."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (scenario, multisource, timevarying):
+            patch.setattr(module, "room_impulse_response",
+                          rir.room_impulse_response)
+        patch.setattr(fastconv, "fir_apply", fir.fir_apply)
+        patch.setattr(fastconv.StreamingFir, "process",
+                      fir.streaming_process)
+        patch.setattr(fm, "resample", modulation.resample)
+        patch.setattr(am, "resample", modulation.resample)
+        patch.setattr(fm.FmModulator, "modulate", modulation.fm_modulate)
+        patch.setattr(fm.FmDemodulator, "demodulate",
+                      modulation.fm_demodulate)
+        patch.setattr(am.AmModulator, "modulate", modulation.am_modulate)
+        patch.setattr(am.AmDemodulator, "demodulate",
+                      modulation.am_demodulate)
+        patch.setattr(RfChannel, "apply", modulation.rf_channel_apply)
+        yield

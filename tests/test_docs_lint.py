@@ -2,8 +2,9 @@
 
 Runs the same checks as ``python -m repro.tools.check_docs`` against
 this checkout: every relative link and backticked path reference in
-``README.md`` / ``docs/*.md`` must resolve, and every registered
-experiment must be mentioned in the docs.  Opt in with ``--docs-lint``
+``README.md`` / ``docs/*.md`` must resolve, every registered
+experiment must be mentioned in the docs, and every ``REPRO_*``
+variable the docs name must be read by some code.  Opt in with ``--docs-lint``
 or ``REPRO_DOCS_LINT=1`` — the lint inspects the working tree, not the
 installed library, so it is not part of the default suite.
 """
@@ -44,3 +45,16 @@ def test_experiment_mentions_detected(tmp_path):
     (tmp_path / "README.md").write_text("hello\n", encoding="utf-8")
     problems = check_docs.collect_problems(tmp_path)
     assert any("registered but never mentioned" in p for p in problems)
+
+
+def test_unread_env_var_detected(tmp_path):
+    # The docs name two variables; code under tests/ reads only one.
+    (tmp_path / "README.md").write_text(
+        "Set `REPRO_READ_ME=1` or `REPRO_NEVER_READ=1`.\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "conftest.py").write_text(
+        'import os\nos.environ.get("REPRO_READ_ME")\n', encoding="utf-8")
+    problems = check_docs.collect_problems(tmp_path)
+    unread = [p for p in problems if "environment variable" in p]
+    assert unread == ["README.md: environment variable REPRO_NEVER_READ is "
+                      "read by no .py file under src, tests, benchmarks"]

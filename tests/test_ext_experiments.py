@@ -91,6 +91,18 @@ class TestEdge:
     def test_report_renders(self, result):
         assert "edge service" in result.report()
 
+    def test_worst_client_column_is_least_cancellation(self):
+        # cancellation_db is negative-is-better: the worst client is the
+        # largest value, not the smallest.
+        from repro.eval.experiments import run_edge
+
+        result = run_edge(duration_s=2.0, client_counts=(2,))
+        per_client = result.by_count[2].cancellation_db.values()
+        row = result.report().splitlines()[-1].split()
+        assert row[0] == "2"
+        assert row[-1] == f"{max(per_client):.1f}"
+        assert max(per_client) > min(per_client)
+
 
 class TestWideband:
     @pytest.fixture(scope="class")

@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 from repro.eval.experiments.common import bench_scenario, default_config
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.obs.trace import Tracer
-from repro.runtime.cache import get_channel_cache
 
 
 @pytest.fixture(autouse=True)
@@ -310,8 +309,7 @@ class _RunCapture:
 
 
 def _fm_job(noise):
-    """The fig12 FM job from a cold channel cache: relay, system, run."""
-    get_channel_cache().clear()
+    """The fig12 FM job: relay, system, run."""
     relay = repro.AnalogRelay(audio_rate=8000.0, seed=7)
     system = repro.MuteSystem(bench_scenario(),
                               default_config(relay=relay, seed=7))

@@ -1,246 +1,13 @@
-"""The cached + parallel simulation runtime (repro.runtime)."""
+"""The parallel experiment runtime (repro.runtime)."""
 
-import dataclasses
 import json
-import os
 import pickle
-import subprocess
-import sys
 
-import numpy as np
 import pytest
 
-from repro import obs, runtime
-from repro.acoustics.geometry import Point
-from repro.core.scenario import office_scenario
+from repro import runtime
 from repro.errors import ConfigurationError
 from repro.eval import experiments
-from repro.runtime.cache import ChannelCache, scenario_cache_key
-
-
-def _assert_channels_equal(a, b):
-    assert np.array_equal(a.h_ne.ir, b.h_ne.ir)
-    assert np.array_equal(a.h_se.ir, b.h_se.ir)
-    assert len(a.h_nr) == len(b.h_nr)
-    for x, y in zip(a.h_nr, b.h_nr):
-        assert np.array_equal(x.ir, y.ir)
-    assert a.acoustic_lead_samples == b.acoustic_lead_samples
-    assert a.sample_rate == b.sample_rate
-
-
-class TestCacheKey:
-    def test_deterministic_within_process(self):
-        scenario = office_scenario()
-        assert scenario_cache_key(scenario) == scenario_cache_key(scenario)
-
-    def test_stable_across_processes(self):
-        """The key must not depend on PYTHONHASHSEED or process state."""
-        script = (
-            "from repro.core.scenario import office_scenario\n"
-            "from repro.runtime.cache import scenario_cache_key\n"
-            "print(scenario_cache_key(office_scenario()))\n"
-        )
-        keys = set()
-        for hashseed in ("0", "12345"):
-            env = dict(os.environ)
-            env["PYTHONHASHSEED"] = hashseed
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True, check=True, env=env,
-            )
-            keys.add(proc.stdout.strip())
-        keys.add(scenario_cache_key(office_scenario()))
-        assert len(keys) == 1
-
-    def test_sensitive_to_every_input(self):
-        base = office_scenario()
-        variants = [
-            base.with_source(Point(0.51, 3.5, 1.6)),
-            dataclasses.replace(base, sample_rate=16000.0),
-            dataclasses.replace(base, speaker_offset_m=0.03),
-            dataclasses.replace(
-                base, rir_settings=dataclasses.replace(
-                    base.rir_settings, max_order=2)),
-            dataclasses.replace(
-                base, room=dataclasses.replace(base.room, absorption=0.6)),
-        ]
-        keys = {scenario_cache_key(s) for s in [base] + variants}
-        assert len(keys) == len(variants) + 1
-
-
-class TestMemoryCache:
-    def test_hit_is_bit_identical_to_cold_compute(self):
-        scenario = office_scenario()
-        cache = ChannelCache()
-        cold = cache.get_or_build(scenario)
-        warm = cache.get_or_build(scenario)
-        uncached = scenario.compute_channels()
-        _assert_channels_equal(warm, cold)
-        _assert_channels_equal(warm, uncached)
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-    def test_hits_return_fresh_objects(self):
-        """Streaming state must never leak between cache consumers."""
-        scenario = office_scenario()
-        cache = ChannelCache()
-        first = cache.get_or_build(scenario)
-        second = cache.get_or_build(scenario)
-        assert first.h_ne is not second.h_ne
-        assert first.h_ne.ir is not second.h_ne.ir
-        # Streaming through one copy leaves the other one untouched: a
-        # fresh consumer must see exactly what a reset channel sees.
-        x = np.random.default_rng(0).standard_normal(256)
-        y1 = first.h_ne.process_block(x)
-        before = second.h_ne.process_block(x)
-        second.h_ne.reset()
-        after = second.h_ne.process_block(x)
-        assert np.array_equal(before, after)
-        assert np.array_equal(y1, before)
-
-    def test_lru_eviction(self):
-        cache = ChannelCache(max_entries=1)
-        a = office_scenario()
-        b = office_scenario(relay_on_door=False)
-        cache.get_or_build(a)
-        cache.get_or_build(b)          # evicts a
-        cache.get_or_build(a)          # miss again
-        stats = cache.stats()
-        assert stats["evictions"] == 2
-        assert stats["misses"] == 3
-        assert len(cache) == 1
-
-    def test_build_channels_uses_explicit_cache(self):
-        scenario = office_scenario()
-        cache = ChannelCache()
-        scenario.build_channels(cache=cache)
-        scenario.build_channels(cache=cache)
-        assert cache.stats() == {
-            "entries": 1, "hits": 1, "misses": 1,
-            "disk_hits": 0, "disk_discards": 0, "quarantined": 0,
-            "evictions": 0,
-        }
-
-    def test_build_channels_cache_false_bypasses(self):
-        scenario = office_scenario()
-        cache = ChannelCache()
-        previous = runtime.set_channel_cache(cache)
-        try:
-            scenario.build_channels(cache=False)
-        finally:
-            runtime.set_channel_cache(previous)
-        assert cache.stats()["misses"] == 0
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ConfigurationError):
-            ChannelCache(max_entries=0)
-
-
-class TestDiskCache:
-    def test_round_trip(self, tmp_path):
-        scenario = office_scenario()
-        writer = ChannelCache(disk_dir=tmp_path)
-        cold = writer.get_or_build(scenario)
-        # A different process would start with an empty memory layer.
-        reader = ChannelCache(disk_dir=tmp_path)
-        warm = reader.get_or_build(scenario)
-        _assert_channels_equal(warm, cold)
-        assert reader.stats()["disk_hits"] == 1
-        assert reader.stats()["misses"] == 0
-
-    def test_corrupt_entry_recovered(self, tmp_path):
-        scenario = office_scenario()
-        writer = ChannelCache(disk_dir=tmp_path)
-        writer.get_or_build(scenario)
-        (entry_path,) = tmp_path.glob("*.npz")
-        entry_path.write_bytes(b"this is not an npz archive")
-
-        reader = ChannelCache(disk_dir=tmp_path)
-        channels = reader.get_or_build(scenario)
-        _assert_channels_equal(channels, scenario.compute_channels())
-        stats = reader.stats()
-        assert stats["disk_discards"] == 1
-        assert stats["quarantined"] == 1
-        assert stats["misses"] == 1
-        # The bad bytes were moved aside for inspection, not destroyed.
-        quarantined = list((tmp_path / ".quarantine").glob("*.npz"))
-        assert [p.name for p in quarantined] == [entry_path.name]
-        assert quarantined[0].read_bytes() == b"this is not an npz archive"
-        # The slot itself was replaced with a clean rewrite.
-        again = ChannelCache(disk_dir=tmp_path)
-        again.get_or_build(scenario)
-        assert again.stats()["disk_hits"] == 1
-
-    def test_corruption_counted_in_obs(self, tmp_path):
-        scenario = office_scenario()
-        writer = ChannelCache(disk_dir=tmp_path)
-        writer.get_or_build(scenario)
-        (entry_path,) = tmp_path.glob("*.npz")
-        entry_path.write_bytes(b"garbage")
-
-        obs.reset()
-        with obs.enabled_scope():
-            ChannelCache(disk_dir=tmp_path).get_or_build(scenario)
-            metrics = obs.get_registry().to_dict()["metrics"]
-        obs.reset()
-        by_name = {m["name"]: m for m in metrics}
-        assert by_name["cache.corruption_total"]["value"] == 1
-
-    def test_truncated_entry_recovered(self, tmp_path):
-        scenario = office_scenario()
-        writer = ChannelCache(disk_dir=tmp_path)
-        writer.get_or_build(scenario)
-        (entry_path,) = tmp_path.glob("*.npz")
-        blob = entry_path.read_bytes()
-        entry_path.write_bytes(blob[: len(blob) // 2])
-
-        reader = ChannelCache(disk_dir=tmp_path)
-        channels = reader.get_or_build(scenario)
-        _assert_channels_equal(channels, scenario.compute_channels())
-        assert reader.stats()["disk_discards"] == 1
-
-    def test_unwritable_disk_degrades_to_memory(self, tmp_path):
-        target = tmp_path / "blocked"
-        target.write_text("a file where the cache dir should go")
-        cache = ChannelCache(disk_dir=target)
-        scenario = office_scenario()
-        cache.get_or_build(scenario)
-        channels = cache.get_or_build(scenario)
-        _assert_channels_equal(channels, scenario.compute_channels())
-        assert cache.stats()["hits"] == 1
-
-    def test_clear_disk(self, tmp_path):
-        cache = ChannelCache(disk_dir=tmp_path)
-        cache.get_or_build(office_scenario())
-        assert list(tmp_path.glob("*.npz"))
-        cache.clear(disk=True)
-        assert not list(tmp_path.glob("*.npz"))
-        assert len(cache) == 0
-
-
-class TestWarmSpeedup:
-    def test_warm_build_is_10x_faster(self):
-        """Acceptance criterion: warm build >= 10x faster than cold."""
-        import time
-
-        scenario = office_scenario()
-        cache = ChannelCache()
-        t0 = time.perf_counter()
-        cache.get_or_build(scenario)
-        cold_s = time.perf_counter() - t0
-
-        # Best-of-five warm builds: timer noise, not cache behaviour.
-        warm_s = min(
-            _timed(cache.get_or_build, scenario) for _ in range(5))
-        assert warm_s * 10 <= cold_s, (cold_s, warm_s)
-
-
-def _timed(fn, *args):
-    import time
-
-    t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
 
 
 class TestRegistry:
