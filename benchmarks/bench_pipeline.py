@@ -134,6 +134,7 @@ def legs():
             "duration_s": DURATION_S,
             "seed": SEED,
             "relay": "analog",
+            "relay_rf_rate_hz": AnalogRelay(audio_rate=8000.0).rf_rate,
             "scenario": "bench (6x5x3 m room)",
         },
         "pipeline_speedup_floor": PIPELINE_SPEEDUP_FLOOR,

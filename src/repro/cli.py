@@ -49,10 +49,10 @@ Subcommands
 ``perf-profile``
     Trace what one Figure 12 FM job costs — relay calibration,
     ``MuteSystem`` construction and ``run()`` — with :mod:`repro.obs`
-    enabled, ``--repeats`` times from a cold channel cache, and print
-    the span tree, the metrics table and one timing ledger (one-off
-    construction rows, then run stages priced per block against the
-    Eq. 3 deadline, each as median/best/worst) — or the
+    enabled, ``--repeats`` times from scratch, and print the relay's
+    RF simulation rate, the span tree, the metrics table and one timing
+    ledger (one-off construction rows, then run stages priced per block
+    against the Eq. 3 deadline, each as median/best/worst) — or the
     ``repro.obs.report/v1`` JSON document (``docs/PERFORMANCE.md``,
     ``docs/OBSERVABILITY.md``)::
 
@@ -170,7 +170,7 @@ def build_parser():
     perf.add_argument("--seed", type=int, default=7,
                       help="workload seed (default 7, the fig12 seed)")
     perf.add_argument("--repeats", type=int, default=3,
-                      help="traced jobs, each from a cold channel cache; "
+                      help="traced jobs, each built from scratch; "
                            "ledger rows give median/best/worst "
                            "(default 3)")
     perf.add_argument("--block", type=int, default=64,
@@ -410,9 +410,13 @@ def _run_perf_profile(args, out):
 
     print("== perf-profile: traced construct-and-run, fig12 FM workload ==",
           file=out)
+    relay = system.config.relay
     print(system.summary(), file=out)
-    print(f"{args.duration:.1f} s of audio, {args.repeats} repeat(s) from a "
-          f"cold channel cache; mean cancellation "
+    print(f"relay: analog FM simulated at {relay.rf_rate / 1e3:g} kHz "
+          f"(Carson bandwidth "
+          f"{relay.modulator.occupied_bandwidth_hz / 1e3:g} kHz)", file=out)
+    print(f"{args.duration:.1f} s of audio, {args.repeats} repeat(s), each "
+          f"built from scratch; mean cancellation "
           f"{result.mean_cancellation_db():.1f} dB\n", file=out)
     print("--- span tree ---", file=out)
     print(tracer.render(), file=out)

@@ -15,7 +15,9 @@ oracle ``tests/reference/loop.py``), restructured for throughput:
   shift-register copy per sample);
 * the *inactive* (muted speaker) and *frozen-tap* (``adapt=False``)
   paths contain no Python loop at all — output and ringing collapse to
-  one matvec plus one sliding-window dot;
+  two row-wise ``einsum`` dots over sliding windows (not a BLAS
+  matvec, whose per-row rounding depends on where the row falls in
+  the block, so blocks would not equal the whole signal bit for bit);
 * only the inherently sequential tap recursion — each sample's output
   depends on taps updated by the previous sample — remains a Python
   loop, stripped to three raw BLAS calls per sample (``ddot`` for the
@@ -71,7 +73,7 @@ def _steps(windows, mu, normalized):
 
 def _ringing(opad, s_rev):
     """Secondary-path contribution per sample from the padded outputs."""
-    return sliding_window_view(opad, s_rev.size) @ s_rev
+    return np.einsum("ij,j->i", sliding_window_view(opad, s_rev.size), s_rev)
 
 
 def _advance(state, opad, B):
@@ -116,7 +118,7 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
 
     if not adapt:
         # Frozen taps: pure filtering, no loop at all.
-        outputs = W @ taps_fwd
+        outputs = np.einsum("ij,j->i", W, taps_fwd)
         opad[s_len - 1:] = outputs
         errors = d + _ringing(opad, s_rev)
         _guard_block(errors, 0, B, context)

@@ -15,12 +15,13 @@ constant DC offset the paper says FM renders harmless.
 Audio at ``audio_rate`` is upsampled to ``rf_rate`` for modulation and
 decimated back after demodulation.
 
-Perf note: :func:`resample` is the relay chain's hot edge — the 12x
-oversampled mod/demod path crosses it twice per relay hop.  It runs
-scipy's default polyphase (Kaiser) design, cached per reduced
-``(up, down)`` pair, as BLAS matrix products, and the rate pair itself
-is reduced with :class:`fractions.Fraction`, so exact rational
-(including non-integer) rate pairs work.  The modulator/demodulator
+Perf note: :func:`resample` is the relay chain's hot edge — the
+oversampled mod/demod path (5x for the relay's 40 kHz, 12x at 96 kHz)
+crosses it twice per relay hop.  It runs scipy's default polyphase
+(Kaiser) design, cached per reduced ``(up, down)`` pair, as BLAS matrix
+products, and the rate pair itself is reduced with
+:class:`fractions.Fraction`, so exact rational (including non-integer)
+rate pairs work.  The modulator/demodulator
 avoid full-rate intermediate copies by running their arithmetic in
 place on buffers they own; the textbook formulations they replaced
 (and ``resample_poly`` itself) are the test oracles in
@@ -224,10 +225,15 @@ class FmModulator:
     audio_rate:
         Input audio sampling rate (Hz).
     rf_rate:
-        Simulation rate of the complex baseband (Hz); must comfortably
-        exceed twice the peak deviation plus audio bandwidth (Carson).
+        Simulation rate of the complex baseband (Hz); must be at least
+        the Carson bandwidth, twice the peak deviation plus the audio
+        bandwidth.
     deviation_hz:
         Peak frequency deviation ``Af`` for a unit-amplitude input.
+        The discriminator recovers audio ``m`` without wrapping while
+        the phase step ``2π |m| Af / rf_rate`` stays below π, that is
+        ``|m| < rf_rate / (2 Af)``: |m| < 4 at 96 kHz and 12 kHz
+        deviation, |m| < 1.67 at 40 kHz.
     amplitude:
         Transmit amplitude ``Ap``.
     """

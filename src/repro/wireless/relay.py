@@ -78,19 +78,26 @@ class AnalogRelay:
     audio_rate:
         Audio sampling rate at the DSP (Hz).
     rf_rate:
-        Complex-baseband simulation rate (Hz).
+        Complex-baseband simulation rate (Hz).  The default 40 kHz is
+        above the 32 kHz Carson bandwidth and an integer ×5 from 8 kHz
+        audio.  Because ``snr_db`` fixes the noise density, the rate
+        sets only simulation fidelity, not the audio SNR; it does set
+        the discriminator's headroom: the phase step wraps once
+        ``|m| · deviation_hz ≥ rf_rate / 2``, so at the defaults the
+        front-end output must stay within |m| < 1.67 (|m| < 4 at
+        96 kHz).  Full-scale (±1) audio fits.
     deviation_hz:
         FM peak deviation.
     channel_config:
         :class:`RfChannelConfig` impairments; default is a clean indoor
-        link with 40 dB SNR.
+        link with 40 dB SNR over the 96 kHz reference bandwidth.
     mic_noise_rms:
         Self-noise of the cheap MEMS microphone, at the audio level.
     lpf_cutoff_hz:
         Anti-alias low-pass in the analog front end.
     """
 
-    def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
+    def __init__(self, audio_rate=8000.0, rf_rate=40000.0,
                  deviation_hz=12000.0, channel_config=None,
                  mic_noise_rms=1e-3, lpf_cutoff_hz=None, seed=0):
         self.audio_rate = check_positive("audio_rate", audio_rate)
@@ -117,7 +124,8 @@ class AnalogRelay:
             channel_config or RfChannelConfig(snr_db=40.0, seed=seed),
             rf_rate=self.rf_rate,
         )
-        with obs.span("relay.calibrate", relay="analog"):
+        with obs.span("relay.calibrate", relay="analog",
+                      rf_rate=self.rf_rate):
             self.latency_samples = self._calibrate_latency()
 
     def _chain(self, audio):
@@ -183,7 +191,8 @@ class AnalogRelay:
         distortions intact.
         """
         audio = check_waveform("audio", audio)
-        with obs.span("relay.forward", relay="analog", samples=audio.size):
+        with obs.span("relay.forward", relay="analog", samples=audio.size,
+                      rf_rate=self.rf_rate):
             out = self._chain(audio)
             aligned = _advance(out, self.latency_samples)
             if aligned.size < audio.size:

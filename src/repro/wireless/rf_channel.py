@@ -6,7 +6,9 @@ narrow a band and reduces to a single complex tap.  The impairments that
 *do* matter — and that motivated the analog FM design — are modeled
 here:
 
-* additive white Gaussian noise at a configurable SNR,
+* additive white Gaussian noise at a configurable SNR, stated over a
+  fixed reference bandwidth so that it fixes the noise *density* (see
+  :class:`RfChannelConfig`),
 * carrier frequency offset between the relay's PLL and the receiver,
 * power-amplifier nonlinearity (tanh soft saturation),
 * a flat complex gain (path loss + phase rotation).
@@ -22,7 +24,14 @@ from ..errors import ConfigurationError
 from ..utils.units import db_to_amplitude
 from ..utils.validation import check_waveform
 
-__all__ = ["RfChannelConfig", "RfChannel", "pa_nonlinearity"]
+__all__ = ["RfChannelConfig", "RfChannel", "pa_nonlinearity",
+           "SNR_REFERENCE_BANDWIDTH_HZ"]
+
+#: Bandwidth (Hz) over which :attr:`RfChannelConfig.snr_db` is stated.
+#: A channel simulated at ``rf_rate`` scales its noise variance by
+#: ``rf_rate / SNR_REFERENCE_BANDWIDTH_HZ``, which is exactly 1.0 at
+#: 96 kHz.
+SNR_REFERENCE_BANDWIDTH_HZ = 96000.0
 
 #: Noise samples drawn per scratch fill in :meth:`RfChannel.apply`.
 _NOISE_CHUNK = 1 << 16
@@ -61,9 +70,17 @@ def pa_nonlinearity(baseband, backoff_db=3.0):
 
 @dataclasses.dataclass(frozen=True)
 class RfChannelConfig:
-    """Impairment settings for one RF link."""
+    """Impairment settings for one RF link.
 
-    snr_db: float = 40.0            # post-path-loss SNR at the receiver
+    ``snr_db`` is the post-path-loss SNR at the receiver, stated over
+    :data:`SNR_REFERENCE_BANDWIDTH_HZ` (96 kHz): signal power over the
+    noise power that falls in 96 kHz.  It fixes the noise *density*, so
+    the audio a link delivers does not depend on the rate the channel is
+    simulated at.  A :func:`~repro.wireless.link_budget.received_snr_db`
+    figure computed with ``bandwidth_hz=96e3`` converts to it directly.
+    """
+
+    snr_db: float = 40.0            # SNR over the 96 kHz reference band
     cfo_hz: float = 0.0             # carrier frequency offset
     gain_db: float = 0.0            # flat path gain (negative = loss)
     phase_rad: float = 0.0          # flat phase rotation
@@ -91,10 +108,12 @@ class RfChannel:
         """Pass a complex-baseband block through the channel.
 
         Every impairment works in place on one complex copy of the
-        input.  The noise is drawn in chunks into one real scratch
-        buffer — the real parts' normals, then the imaginary parts' —
-        which is the same stream, so the same realization, as two
-        whole-block draws.
+        input.  The noise variance is ``snr_db`` below the signal power
+        over the reference bandwidth, scaled by ``rf_rate /``
+        :data:`SNR_REFERENCE_BANDWIDTH_HZ` to the simulated bandwidth.
+        It is drawn in chunks into one real scratch buffer — the real
+        parts' normals, then the imaginary parts' — which is the same
+        stream, so the same realization, as two whole-block draws.
         """
         baseband = check_waveform("baseband", baseband, allow_complex=True,
                                   min_length=1)
@@ -124,6 +143,7 @@ class RfChannel:
         del power
         if np.isfinite(cfg.snr_db) and signal_power > 0:
             noise_power = signal_power / (10.0 ** (cfg.snr_db / 10.0))
+            noise_power *= self.rf_rate / SNR_REFERENCE_BANDWIDTH_HZ
             sigma = np.sqrt(noise_power / 2.0)
             rng = np.random.default_rng(cfg.seed)
             scratch = np.empty(min(out.size, _NOISE_CHUNK))

@@ -20,6 +20,7 @@ from scipy import signal as sps
 from repro.utils.units import db_to_amplitude
 from repro.utils.validation import check_waveform
 from repro.wireless.fm import rational_ratio
+from repro.wireless.rf_channel import SNR_REFERENCE_BANDWIDTH_HZ
 
 __all__ = ["resample", "fm_modulate", "fm_demodulate", "am_modulate",
            "am_demodulate", "pa_nonlinearity", "rf_channel_apply"]
@@ -100,7 +101,11 @@ def pa_nonlinearity(baseband, backoff_db=3.0):
 
 
 def rf_channel_apply(channel, baseband):
-    """``RfChannel.apply``: impairments on a complex-baseband block."""
+    """``RfChannel.apply``: impairments on a complex-baseband block.
+
+    ``snr_db`` holds over the reference bandwidth, so the noise power is
+    scaled by ``rf_rate`` over it: a fixed noise density.
+    """
     baseband = check_waveform("baseband", baseband, allow_complex=True,
                               min_length=1)
     cfg = channel.config
@@ -119,6 +124,7 @@ def rf_channel_apply(channel, baseband):
     signal_power = np.mean(np.abs(out) ** 2)
     if np.isfinite(cfg.snr_db) and signal_power > 0:
         noise_power = signal_power / (10.0 ** (cfg.snr_db / 10.0))
+        noise_power *= channel.rf_rate / SNR_REFERENCE_BANDWIDTH_HZ
         rng = np.random.default_rng(cfg.seed)
         noise = (
             rng.standard_normal(out.size)

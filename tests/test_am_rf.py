@@ -125,7 +125,7 @@ class TestRfChannelAgainstOracle:
            gain_db=st.sampled_from([0.0, -3.0, 6.2]),
            phase_rad=st.sampled_from([0.0, 1.1]),
            pa_backoff_db=st.sampled_from([None, 1.0, 3.0]),
-           rf_rate=st.sampled_from([48000.0, 96000.0]),
+           rf_rate=st.sampled_from([40000.0, 48000.0, 96000.0]),
            seed=st.integers(min_value=0, max_value=1000))
     def test_bit_identical(self, size, real_input, level, snr_db, cfo_hz,
                            gain_db, phase_rad, pa_backoff_db, rf_rate, seed):

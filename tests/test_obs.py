@@ -609,7 +609,9 @@ class TestEngineHooks:
         stages = ["relay.modulate", "relay.channel", "relay.demodulate"]
         tracer = obs.get_tracer()
         for parent in ("relay.calibrate", "relay.forward"):
-            assert [c.name for c in tracer.find(parent).children] == stages
+            span = tracer.find(parent)
+            assert [c.name for c in span.children] == stages
+            assert span.attributes["rf_rate"] == 48000.0
         assert np.array_equal(traced, expected)
 
 
@@ -625,6 +627,7 @@ class TestObsReportCli:
         assert code == 0
         text = out.getvalue()
         assert "span tree" in text
+        assert "relay: analog FM simulated at 40 kHz" in text
         assert "mute.run" in text
         assert "Timing ledger" in text
         assert "adaptive.misadjustment" in text
